@@ -23,11 +23,11 @@ from typing import Mapping, Optional, Sequence
 from .exactalg import (
     AlgebraError,
     ChartAlgebra,
+    ExactSystem,
     Exponent,
     LocalizedPoly,
     Poly,
     QQ,
-    solve_linear,
 )
 from .dgla import Carrier, DGLAElement
 from .params import ParamAlgebra
@@ -778,17 +778,11 @@ class CechComplex:
     def dim(self, p: int) -> int:
         return len(self.slots.get(p, []))
 
-    def delta_matrix(self, p: int) -> list[list[Fraction]]:
-        """delta: C^p -> C^{p+1}, (delta c)_g = sum_i (-1)^i c_{g minus i}."""
-        rows = self.slots.get(p + 1, [])
-        cols = self.slots.get(p, [])
-        col_of = {}
-        for j, (f, i) in enumerate(cols):
-            col_of.setdefault(f, {})[i] = j
-        matrix = [[QQ(0)] * len(cols) for _ in rows]
-        row_of = {}
-        for r, (g, i) in enumerate(rows):
-            row_of.setdefault(g, {})[i] = r
+    def delta_system(self, p: int) -> ExactSystem:
+        """delta: C^p -> C^{p+1}, (delta c)_g = sum_i (-1)^i c_{g minus i}, as
+        a system whose columns are the slots (face, basis index) of C^p and
+        whose rows are those of C^{p+1}."""
+        system = ExactSystem(self.slots.get(p, []))
         for g in self.nerve.level_faces(p + 1):
             for drop in range(len(g)):
                 f = g[:drop] + g[drop + 1 :]
@@ -801,30 +795,21 @@ class CechComplex:
                     out = self.layer.restrict_coords(f, g, coords)
                     for j, v in enumerate(out):
                         if v != 0:
-                            matrix[row_of[g][j]][col_of[f][i]] += sign * v
-        return matrix
+                            system.add((g, j), (f, i), sign * v)
+        return system
 
     def betti(self) -> list[int]:
         out = []
         prev_rank = 0
         for p in range(self.levels + 1):
-            d = self.delta_matrix(p)
-            n = self.dim(p)
-            rank = _matrix_rank(d)
-            kernel = n - rank
-            out.append(kernel - prev_rank)
+            rank = self.delta_system(p).solve().rank
+            out.append(self.dim(p) - rank - prev_rank)
             prev_rank = rank
         return out
 
     def cocycles(self, p: int) -> list[dict]:
         """Basis of ker(delta^p), as {face -> coordinate list} dicts."""
-        d = self.delta_matrix(p)
-        n = self.dim(p)
-        res = solve_linear(d if d else [[QQ(0)] * n], [QQ(0)] * max(len(d), 1))
-        out = []
-        for vec in res.kernel:
-            out.append(self._unflatten(p, vec))
-        return out
+        return [self._unflatten(vec) for vec in self.delta_system(p).solve().kernel]
 
     def representative_cocycles(self, p: int) -> list[dict]:
         """Cocycles spanning H^p (prune kernel vectors that are coboundaries)."""
@@ -841,39 +826,27 @@ class CechComplex:
         """Solve delta b = cocycle with b in C^{p-1}; None when no solution."""
         if p == 0:
             return None if any(any(v != 0 for v in c) for c in cocycle.values()) else {}
-        d = self.delta_matrix(p - 1)
-        rhs = self._flatten(p, cocycle)
-        if not d:
-            return None if any(v != 0 for v in rhs) else {}
-        res = solve_linear(d, rhs)
+        system = self.delta_system(p - 1)
+        for f, i in self.slots[p]:
+            coords = cocycle.get(f)
+            if coords is not None:
+                system.add_rhs((f, i), QQ(coords[i]))
+        res = system.solve()
         if not res.consistent:
             return None
-        return self._unflatten(p - 1, res.particular)
+        return self._unflatten(res.particular)
 
-    def _flatten(self, p: int, data: dict) -> list[Fraction]:
-        out = []
-        for f, i in self.slots[p]:
-            coords = data.get(f)
-            out.append(QQ(0) if coords is None else QQ(coords[i]))
-        return out
-
-    def _unflatten(self, p: int, vec: Sequence[Fraction]) -> dict:
+    def _unflatten(self, vec: dict) -> dict:
+        """{(face, basis index) -> value} -> {face -> coordinate list}."""
         out: dict = {}
-        for (f, i), v in zip(self.slots[p], vec):
+        for (f, i), v in vec.items():
             if f not in out:
                 out[f] = [QQ(0)] * self.layer.dim(f)
             out[f][i] = v
-        return {f: c for f, c in out.items() if any(v != 0 for v in c)}
+        return out
 
     def is_zero_class(self, p: int, cocycle: dict) -> bool:
         return self.coboundary_solve(p, cocycle) is not None
-
-
-def _matrix_rank(matrix: list[list[Fraction]]) -> int:
-    if not matrix:
-        return 0
-    res = solve_linear(matrix, [QQ(0)] * len(matrix))
-    return len(matrix[0]) - len(res.kernel)
 
 
 def cech_cohomology(nerve: CoverNerve, degree_bound: int = -1) -> CechComplex:

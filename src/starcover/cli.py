@@ -36,14 +36,17 @@ from .formats import FormatError, dumps
 from . import selftest as selftest_mod
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise FormatError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: the top level must be a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def _emit(args, report: dict, text: str) -> None:

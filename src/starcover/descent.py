@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .exactalg import AlgebraError, QQ, solve_linear
+from .exactalg import AlgebraError, ExactSystem, QQ
 from .params import ParamAlgebra
 from .dgla import (
     DGLAElement,
@@ -527,6 +526,15 @@ class LayerWindow:
                 out[(key, e)] = out.get((key, e), QQ(0)) + q
         return {k: v for k, v in out.items() if v != 0}
 
+    def rows(self, tag, face: Face, parts: Mapping) -> list:
+        """(row key, value) per nonzero coordinate of the per-layer payloads
+        ``parts`` at ``face``; a row key is (tag, face, layer index, coord)."""
+        return [
+            ((tag, face, li, ck), v)
+            for li, payload in parts.items()
+            for ck, v in self.coords(face, payload).items()
+        ]
+
 
 @dataclass
 class ObstructionReport:
@@ -548,85 +556,6 @@ class ObstructionReport:
             f"obstruction at adic order {self.order} (class {clas}); "
             f"layer 2-cocycle: {{{faces}}}; {self.detail}"
         )
-
-
-class _LayerSystem:
-    """One exact linear system per adic order: unknown atoms per (face,
-    degree, layer basis index), equation rows per (tag, face, coord key)."""
-
-    def __init__(self, algebra: ParamAlgebra, order: int):
-        self.algebra = algebra
-        self.order = order
-        self.layer_idx = [
-            i for i in range(len(algebra.basis)) if algebra.basis_order(i) == order
-        ]
-        self.columns: list = []  # (slot_key, layer_i, face, atom)
-        self.col_index: dict = {}
-        self.rows: list = []
-        self.row_index: dict = {}
-        self.matrix_entries: dict = {}
-        self.rhs: dict = {}
-
-    def add_unknown(self, slot_key, face, atoms):
-        for li in self.layer_idx:
-            for ai, atom in enumerate(atoms):
-                key = (slot_key, face, li, ai)
-                self.col_index[key] = len(self.columns)
-                self.columns.append((slot_key, face, li, atom))
-
-    def _row(self, key):
-        if key not in self.row_index:
-            self.row_index[key] = len(self.rows)
-            self.rows.append(key)
-        return self.row_index[key]
-
-    def add_rhs(self, tag, face, window: LayerWindow, defect: DGLAElement):
-        """Defect graded part at this order; rhs gets MINUS the defect so the
-        equations read  L(unknowns) + defect = 0."""
-        for li in self.layer_idx:
-            payload = defect.parts.get(li)
-            if not payload:
-                continue
-            for ck, v in window.coords(face, payload).items():
-                r = self._row((tag, face, li, ck))
-                self.rhs[r] = self.rhs.get(r, QQ(0)) - v
-
-    def add_effect(self, tag, face, window: LayerWindow, col_key, payload, sign: Fraction):
-        """Contribution of one atom column to equation rows."""
-        j = self.col_index[col_key]
-        li = col_key[2]
-        for ck, v in window.coords(face, payload).items():
-            r = self._row((tag, face, li, ck))
-            self.matrix_entries[(r, j)] = self.matrix_entries.get((r, j), QQ(0)) + sign * v
-
-    def solve(self):
-        nrows, ncols = len(self.rows), len(self.columns)
-        matrix = [[QQ(0)] * ncols for _ in range(nrows)]
-        for (r, j), v in self.matrix_entries.items():
-            matrix[r][j] = v
-        rhs = [self.rhs.get(r, QQ(0)) for r in range(nrows)]
-        if nrows == 0:
-            return []
-        res = solve_linear(matrix, rhs)
-        if not res.consistent:
-            return None
-        return res.particular
-
-
-def _assemble_unknown_elements(system: _LayerSystem, solution, nerve, flavor, algebra):
-    """Collect solved atom coefficients into per-face DGLAElements keyed by
-    slot_key."""
-    out: dict = {}
-    for val, (slot_key, face, li, atom) in zip(solution, system.columns):
-        if val == 0:
-            continue
-        car = face_carrier(nerve, flavor, face)
-        payload = {k: c.scale(val) for k, c in atom.items()}
-        deg = -1 if list(atom.keys())[0] == () else (len(list(atom.keys())[0]) - 1)
-        elt = DGLAElement(car, algebra, deg, {li: payload})
-        key = (slot_key, face)
-        out[key] = out[key] + elt if key in out else elt
-    return out
 
 
 def _window_degree(defects: Sequence[DGLAElement], default: int = 2) -> int:
@@ -691,74 +620,6 @@ def _full_defects(current, target, match_locals):
             tgt_tri, nerve, flavor, alg, tr, -1
         )
     return d0, d1, d2
-
-
-class _JacobianSystem:
-    """Exact linearization of the twisted-gauge action at the identity step,
-    applied to the current datum, over all adic orders jointly.  Unknowns are
-    (face, atom payload, layer basis index); rows are coordinates of the
-    defect components (all orders)."""
-
-    def __init__(self, nerve, flavor, alg, window: LayerWindow):
-        self.nerve = nerve
-        self.flavor = flavor
-        self.alg = alg
-        self.window = window
-        self.layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) >= 1]
-        self.columns: list = []
-        self.rows: list = []
-        self.row_index: dict = {}
-        self.entries: dict = {}
-        self.rhs: dict = {}
-
-    def _row(self, key):
-        if key not in self.row_index:
-            self.row_index[key] = len(self.rows)
-            self.rows.append(key)
-        return self.row_index[key]
-
-    def add_defect(self, tag, face, defect: DGLAElement):
-        for li, payload in defect.parts.items():
-            for ck, v in self.window.coords(face, payload).items():
-                r = self._row((tag, face, li, ck))
-                self.rhs[r] = self.rhs.get(r, QQ(0)) - v
-
-    def add_column(self, col_label, effects):
-        """effects: list of (tag, face, DGLAElement)."""
-        j = len(self.columns)
-        self.columns.append(col_label)
-        for tag, face, elt in effects:
-            for li, payload in elt.parts.items():
-                for ck, v in self.window.coords(face, payload).items():
-                    r = self._row((tag, face, li, ck))
-                    self.entries[(r, j)] = self.entries.get((r, j), QQ(0)) + v
-
-    def solve(self, min_order: int):
-        """Solve the рows of adic order <= k for the largest k (k from the
-        truncation order down to min_order) that admits a solution.  Returns
-        (solution, k) or (None, min_order) when even the min_order layer is
-        obstructed."""
-        nrows, ncols = len(self.rows), len(self.columns)
-        if nrows == 0:
-            return [], self.alg.order
-        for k in range(self.alg.order, min_order - 1, -1):
-            keep = [
-                r
-                for r in range(nrows)
-                if self.alg.basis_order(self.rows[r][2]) <= k
-            ]
-            matrix = [[QQ(0)] * ncols for _ in keep]
-            pos = {r: i for i, r in enumerate(keep)}
-            for (r, j), v in self.entries.items():
-                if r in pos:
-                    matrix[pos[r]][j] = v
-            rhs = [self.rhs.get(r, QQ(0)) for r in keep]
-            if not keep:
-                return [QQ(0)] * ncols, k
-            res = solve_linear(matrix, rhs)
-            if res.consistent:
-                return res.particular, k
-        return None, min_order
 
 
 def _step_effects(nerve, flavor, alg, cur_loc, cur_edges, cur_tri, unknown_kind, face, u, match_locals):
@@ -850,52 +711,42 @@ def equiv_solve(
         coeff_deg = max_coeff_degree if max_coeff_degree is not None else _window_degree(defects)
         window = LayerWindow(nerve, flavor, coeff_deg, _slot_bound(defects))
         cur_loc, cur_edges, cur_tri = _datum_components(current)
-        system = _JacobianSystem(nerve, flavor, alg, window)
-        if match_locals:
-            for k in nerve.level_faces(0):
-                system.add_defect("loc", k, d0[k])
-        for e in nerve.level_faces(1):
-            system.add_defect("edge", e, d1[e])
-        for tr in nerve.level_faces(2):
-            system.add_defect("tri", tr, d2[tr])
-        unknowns = []
-        for k in nerve.level_faces(0):
-            car = face_carrier(nerve, flavor, k)
-            for li in system.layer_idx:
-                for atom in window.atoms(k, 0):
-                    u = DGLAElement(car, alg, 0, {li: atom})
-                    effects = _step_effects(
-                        nerve, flavor, alg, cur_loc, cur_edges, cur_tri,
-                        "eta", k, u, match_locals,
-                    )
-                    system.add_column(("eta", k, li, atom), effects)
-                    unknowns.append(("eta", k, li, atom))
-        for e in nerve.level_faces(1):
-            car = face_carrier(nerve, flavor, e)
-            for li in system.layer_idx:
-                for atom in window.atoms(e, -1):
-                    u = DGLAElement(car, alg, -1, {li: atom})
-                    effects = _step_effects(
-                        nerve, flavor, alg, cur_loc, cur_edges, cur_tri,
-                        "eps", e, u, match_locals,
-                    )
-                    system.add_column(("eps", e, li, atom), effects)
-                    unknowns.append(("eps", e, li, atom))
-        solution, _solved_to = system.solve(p0)
-        if solution is None:
+        layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) >= 1]
+        system = ExactSystem()
+        for tag, defect in (("loc", d0), ("edge", d1), ("tri", d2)):
+            for face, v in defect.items():
+                for row, q in window.rows(tag, face, v.parts):
+                    system.add_rhs(row, -q)
+        atoms = {}  # column (kind, face, layer index, atom index) -> atom
+        for ukind, level, deg in (("eta", 0, 0), ("eps", 1, -1)):
+            for face in nerve.level_faces(level):
+                car = face_carrier(nerve, flavor, face)
+                face_atoms = window.atoms(face, deg)
+                for li in layer_idx:
+                    for ai, atom in enumerate(face_atoms):
+                        col = (ukind, face, li, ai)
+                        system.add_column(col)
+                        atoms[col] = atom
+                        u = DGLAElement(car, alg, deg, {li: atom})
+                        for tag, f, elt in _step_effects(
+                            nerve, flavor, alg, cur_loc, cur_edges, cur_tri,
+                            ukind, face, u, match_locals,
+                        ):
+                            for row, q in window.rows(tag, f, elt.parts):
+                                system.add(row, col, q)
+        # the largest consistent prefix of adic orders; the quadratic tail of
+        # the step pollutes higher orders, which the next pass cleans up
+        solution, failed = system.solve_prefix(lambda row: alg.basis_order(row[2]))
+        if failed is not None and failed <= p0:
             return _obstruction_report(nerve, flavor, alg, d2, p0)
         step = identity_transformation(nerve, flavor, alg)
-        for val, (ukind, face, li, atom) in zip(solution, unknowns):
-            if val == 0:
-                continue
+        for (ukind, face, li, ai), val in solution.particular.items():
             car = face_carrier(nerve, flavor, face)
-            payload = {k2: c.scale(val) for k2, c in atom.items()}
-            deg = 0 if ukind == "eta" else -1
-            add = DGLAElement(car, alg, deg, {li: payload})
+            payload = {k2: c.scale(val) for k2, c in atoms[(ukind, face, li, ai)].items()}
             if ukind == "eta":
-                step.eta[face] = step.eta[face] + add
+                step.eta[face] = step.eta[face] + DGLAElement(car, alg, 0, {li: payload})
             else:
-                step.eps[face] = step.eps[face] + add
+                step.eps[face] = step.eps[face] + DGLAElement(car, alg, -1, {li: payload})
         t = compose_transformations(step, t, datum)
         current = _apply(t, datum)
     d0, d1, d2 = _full_defects(current, target, match_locals)
@@ -1075,87 +926,70 @@ def _int_correct(datum: AddDescentDatum, p: int) -> AddDescentDatum:
         + list(def_iv.values())
     )
     window = LayerWindow(nerve, flavor, _window_degree(defects), _slot_bound(defects))
-    system = _LayerSystem(alg, p)
-    for k in nerve.level_faces(0):
-        system.add_unknown(("c0", k), k, window.atoms(k, 1))
-    for e in nerve.level_faces(1):
-        system.add_unknown(("c1", e), e, window.atoms(e, 0))
-    for tr in nerve.level_faces(2):
-        system.add_unknown(("c2", tr), tr, window.atoms(tr, -1))
+    layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) == p]
+    # unknown (name, face) -> (degree, atoms); its columns are (name, face, li, ai)
+    unknowns = {}
+    for name, level, degree in (("c0", 0, 1), ("c1", 1, 0), ("c2", 2, -1)):
+        for face in nerve.level_faces(level):
+            unknowns[(name, face)] = (degree, window.atoms(face, degree))
+    system = ExactSystem(
+        (name, face, li, ai)
+        for (name, face), (_, atoms) in unknowns.items()
+        for li in layer_idx
+        for ai in range(len(atoms))
+    )
+
+    def equation(tag, face, defect, terms):
+        """Rows of  sum(sign * unknown|face) + defect = 0  at order p: an
+        unknown on ``face`` itself enters through d, any other by restriction."""
+        for row, v in window.rows(tag, face, defect.graded_part(p).parts):
+            system.add_rhs(row, -v)
+        car = face_carrier(nerve, flavor, face)
+        for (name, src), sign in terms:
+            degree, atoms = unknowns[(name, src)]
+            for ai, atom in enumerate(atoms):
+                if src == face:
+                    img = car.d(atom, degree)
+                else:
+                    img = transport_payload(nerve, kind, src, face, atom)
+                coords = window.coords(face, img).items() if img else ()
+                for li in layer_idx:
+                    for ck, v in coords:
+                        system.add((tag, face, li, ck), (name, src, li, ai), sign * v)
+
     # (i): d(c0_k) + Di = 0
     for k in nerve.level_faces(0):
-        system.add_rhs(("i",), k, window, def_i[k].graded_part(p))
-        car = face_carrier(nerve, flavor, k)
-        for li in system.layer_idx:
-            for ai, atom in enumerate(window.atoms(k, 1)):
-                img = car.d(atom, 1)
-                if img:
-                    system.add_effect(("i",), k, window, (("c0", k), k, li, ai), img, QQ(1))
+        equation("i", k, def_i[k], [(("c0", k), 1)])
     # (ii): c0|k0 - c0|k1 - d(c1_e) + Dii = 0
     for e in nerve.level_faces(1):
-        system.add_rhs(("ii",), e, window, def_ii[e].graded_part(p))
-        k0, k1 = (e[0],), (e[1],)
-        ecar = face_carrier(nerve, flavor, e)
-        for li in system.layer_idx:
-            for ai, atom in enumerate(window.atoms(k0, 1)):
-                moved = transport_payload(nerve, kind, k0, e, atom)
-                if moved:
-                    system.add_effect(("ii",), e, window, (("c0", k0), k0, li, ai), moved, QQ(1))
-            for ai, atom in enumerate(window.atoms(k1, 1)):
-                moved = transport_payload(nerve, kind, k1, e, atom)
-                if moved:
-                    system.add_effect(("ii",), e, window, (("c0", k1), k1, li, ai), moved, QQ(-1))
-            for ai, atom in enumerate(window.atoms(e, 0)):
-                img = ecar.d(atom, 0)
-                if img:
-                    system.add_effect(("ii",), e, window, (("c1", e), e, li, ai), img, QQ(-1))
+        equation("ii", e, def_ii[e], [(("c0", (e[0],)), 1), (("c0", (e[1],)), -1), (("c1", e), -1)])
     # (iii): -c1|02 + c1|12 + c1|01 - d(c2_t) + Diii = 0
     for tr in nerve.level_faces(2):
-        system.add_rhs(("iii",), tr, window, def_iii[tr].graded_part(p))
         e01, e02, e12 = (tr[0], tr[1]), (tr[0], tr[2]), (tr[1], tr[2])
-        tcar = face_carrier(nerve, flavor, tr)
-        for li in system.layer_idx:
-            for e, sign in ((e01, QQ(1)), (e12, QQ(1)), (e02, QQ(-1))):
-                for ai, atom in enumerate(window.atoms(e, 0)):
-                    moved = transport_payload(nerve, kind, e, tr, atom)
-                    if moved:
-                        system.add_effect(("iii",), tr, window, (("c1", e), e, li, ai), moved, sign)
-            for ai, atom in enumerate(window.atoms(tr, -1)):
-                img = tcar.d(atom, -1)
-                if img:
-                    system.add_effect(("iii",), tr, window, (("c2", tr), tr, li, ai), img, QQ(-1))
+        equation("iii", tr, def_iii[tr], [(("c1", e01), 1), (("c1", e12), 1), (("c1", e02), -1), (("c2", tr), -1)])
     # (iv): -c2|013 + c2|023 + c2|012 - c2|123 + Div = 0
     for w in nerve.level_faces(3):
-        system.add_rhs(("iv",), w, window, def_iv[w].graded_part(p))
-        for li in system.layer_idx:
-            for (idx, sign) in (
-                ((w[0], w[1], w[3]), QQ(-1)),
-                ((w[0], w[2], w[3]), QQ(1)),
-                ((w[0], w[1], w[2]), QQ(1)),
-                ((w[1], w[2], w[3]), QQ(-1)),
-            ):
-                for ai, atom in enumerate(window.atoms(idx, -1)):
-                    moved = transport_payload(nerve, kind, idx, w, atom)
-                    if moved:
-                        system.add_effect(("iv",), w, window, (("c2", idx), idx, li, ai), moved, sign)
-    solution = system.solve()
+        equation("iv", w, def_iv[w], [
+            (("c2", (w[0], w[1], w[3])), -1),
+            (("c2", (w[0], w[2], w[3])), 1),
+            (("c2", (w[0], w[1], w[2])), 1),
+            (("c2", (w[1], w[2], w[3])), -1),
+        ])
+    solution = system.solve().particular
     if solution is None:
         raise AlgebraError(
             f"int_mc linear correction system inconsistent at adic order {p} "
             "(implementation bug or MC violation)"
         )
-    solved = _assemble_unknown_elements(system, solution, nerve, flavor, alg)
+    solved: dict = {}
+    for (name, face, li, ai), val in solution.items():
+        degree, atoms = unknowns[(name, face)]
+        payload = {k: c.scale(val) for k, c in atoms[ai].items()}
+        elt = DGLAElement(face_carrier(nerve, flavor, face), alg, degree, {li: payload})
+        solved[(name, face)] = solved[(name, face)] + elt if (name, face) in solved else elt
     out = datum.copy()
-    for k in nerve.level_faces(0):
-        v = solved.get((("c0", k), k))
-        if v is not None:
-            out.delta0[k] = _get(out.delta0, nerve, flavor, alg, k, 1) + v
-    for e in nerve.level_faces(1):
-        v = solved.get((("c1", e), e))
-        if v is not None:
-            out.delta1[e] = _get(out.delta1, nerve, flavor, alg, e, 0) + v
-    for tr in nerve.level_faces(2):
-        v = solved.get((("c2", tr), tr))
-        if v is not None:
-            out.delta2[tr] = _get(out.delta2, nerve, flavor, alg, tr, -1) + v
+    fields = {"c0": out.delta0, "c1": out.delta1, "c2": out.delta2}
+    for (name, face), v in solved.items():
+        degree = unknowns[(name, face)][0]
+        fields[name][face] = _get(fields[name], nerve, flavor, alg, face, degree) + v
     return out

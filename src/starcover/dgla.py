@@ -403,7 +403,7 @@ def bch_generic(x, y, bracket: Callable, add: Callable, scale: Callable, zero, m
             dead = False
             for idx in w[1:]:
                 term = bracket(term, letters[idx])
-                if term is None:
+                if term.is_zero():
                     dead = True
                     break
             if dead:

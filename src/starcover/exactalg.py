@@ -3,15 +3,25 @@ localized fractions against a declared denominator set, and exact linear
 solving.
 
 Coefficients are `fractions.Fraction` throughout; nothing here is ever
-floating point.  All values are immutable after construction and all
-operations are pure functions.
+floating point.  Polynomial values are immutable after construction and
+their operations are pure functions.
+
+Every linear system the library solves is an `ExactSystem`: a sparse
+system whose rows and columns are labelled by hashable keys, eliminated by
+sparse Gauss-Jordan with pivot columns taken in declaration order.  The
+reduced row-echelon form of a system is unique once its column order is
+fixed, so the particular solution (free columns set to zero), the kernel
+basis and the rank are exactly those of the dense `solve_linear` on the same
+matrix; `solve_linear` stays as the public dense entry point and as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -646,3 +656,166 @@ def _kernel_basis(aug, pivots: list[int], ncols: int, rank: int) -> list[list[Fr
 
 def matvec(matrix: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Fraction]:
     return [sum((a * x for a, x in zip(row, v)), QQ(0)) for row in matrix]
+
+
+@dataclass
+class ExactSolution:
+    """Solution of an `ExactSystem`, keyed by its column keys.
+
+    ``particular`` holds the nonzero values of the particular solution in
+    column declaration order (free columns are zero), or is None when the
+    system is inconsistent; ``kernel`` is a basis of the kernel of the
+    matrix, one vector per free column, in declaration order."""
+
+    particular: Optional[dict]
+    rank: int
+    kernel: list[dict]
+
+    @property
+    def consistent(self) -> bool:
+        return self.particular is not None
+
+
+class ExactSystem:
+    """A sparse linear system over Q whose rows and columns are labelled by
+    hashable keys.  Columns are declared in order; entries and right-hand
+    sides accumulate, and a row exists once anything was added to it."""
+
+    def __init__(self, columns: Iterable[Hashable] = ()):
+        self._col: dict = {}  # column key -> position
+        self._rows: dict = {}  # row key -> [{position: value}, rhs]
+        for key in columns:
+            self.add_column(key)
+
+    def add_column(self, key: Hashable) -> None:
+        if key in self._col:
+            raise AlgebraError(f"column {key!r} declared twice")
+        self._col[key] = len(self._col)
+
+    def _row(self, key: Hashable) -> list:
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [{}, QQ(0)]
+        return row
+
+    def add(self, row: Hashable, col: Hashable, value) -> None:
+        """Add ``value`` to the matrix entry at (row, col)."""
+        j = self._col.get(col)
+        if j is None:
+            raise AlgebraError(f"column {col!r} was never declared")
+        entries = self._row(row)[0]
+        entries[j] = entries.get(j, QQ(0)) + _as_fraction(value)
+
+    def add_rhs(self, row: Hashable, value) -> None:
+        """Add ``value`` to the right-hand side of ``row``."""
+        r = self._row(row)
+        r[1] += _as_fraction(value)
+
+    def solve(self) -> ExactSolution:
+        pivots, consistent = _eliminate({}, list(self._rows.values()))
+        return self._solution(pivots, consistent)
+
+    def solve_prefix(self, block: Callable[[Hashable], int]) -> tuple[ExactSolution, Optional[int]]:
+        """Add the rows block by block in ascending ``block(row key)`` and
+        stop before the first block that makes the system inconsistent.
+        Returns the solution of the rows below that block, and the block
+        (None when the whole system is consistent).  Adding rows can only
+        lose consistency, so this solves the largest consistent prefix of
+        blocks in one elimination."""
+        blocks: dict = {}
+        for key, row in self._rows.items():
+            blocks.setdefault(block(key), []).append(row)
+        pivots: dict = {}
+        for b in sorted(blocks):
+            new, consistent = _eliminate(pivots, blocks[b])
+            if not consistent:
+                return self._solution(pivots, True), b
+            for row in pivots.values():
+                for j in [j for j in row[0] if j in new]:
+                    row[1] = _subtract(row[0], row[1], row[0][j], new[j])
+            pivots.update(new)
+        return self._solution(pivots, True), None
+
+    def _solution(self, pivots: dict, consistent: bool) -> ExactSolution:
+        keys = list(self._col)
+        particular = None
+        if consistent:
+            particular = {keys[c]: pivots[c][1] for c in sorted(pivots) if pivots[c][1]}
+        kernel = {j: {j: QQ(1)} for j in range(len(keys)) if j not in pivots}
+        for c, (entries, _) in pivots.items():
+            for j, v in entries.items():
+                if j != c:
+                    kernel[j][c] = -v
+        return ExactSolution(
+            particular,
+            len(pivots),
+            [{keys[j]: vec[j] for j in sorted(vec)} for vec in kernel.values()],
+        )
+
+
+def _subtract(entries: dict, rhs: Fraction, f: Fraction, pivot: list) -> Fraction:
+    """entries -= f * pivot row, in place; returns rhs - f * pivot rhs."""
+    for j, v in pivot[0].items():
+        x = entries.get(j, QQ(0)) - f * v
+        if x:
+            entries[j] = x
+        else:
+            entries.pop(j, None)
+    return rhs - f * pivot[1]
+
+
+def _eliminate(pivots: dict, rows: Sequence[list]) -> tuple[dict, bool]:
+    """Sparse Gauss-Jordan of ``rows`` against the reduced pivot rows
+    ``pivots`` ({column: [entries, rhs]}, each scaled to 1 at its pivot and
+    zero at every other pivot column), which it does not change.  Pivot
+    columns are taken in ascending order and, within a column, the row with
+    the fewest entries.  Returns the new pivot rows, reduced against each
+    other and against ``pivots``, and whether ``rows`` are consistent."""
+    work = []
+    for entries, rhs in rows:
+        entries = {j: v for j, v in entries.items() if v}
+        for c in [c for c in entries if c in pivots]:
+            rhs = _subtract(entries, rhs, entries[c], pivots[c])
+        work.append([entries, rhs])
+    holders: dict = {}  # column -> indices of the rows in `work` not yet pivots
+    for i, (entries, _) in enumerate(work):
+        for j in entries:
+            holders.setdefault(j, set()).add(i)
+    queue = list(holders)
+    heapq.heapify(queue)
+    new: dict = {}
+    while queue:
+        c = heapq.heappop(queue)
+        rows_c = holders.pop(c)
+        if not rows_c:
+            continue
+        p = min(rows_c, key=lambda i: (len(work[i][0]), i))
+        rows_c.discard(p)
+        entries, rhs = work[p]
+        work[p] = None
+        for j in entries:
+            if j != c:
+                holders[j].discard(p)
+        pv = entries[c]
+        pivot = new[c] = [{j: v / pv for j, v in entries.items()}, rhs / pv]
+        for i in rows_c:
+            # the rows left hold no column before c, so elimination only
+            # fills columns after c and the queue order holds
+            row = work[i]
+            before = set(row[0])
+            row[1] = _subtract(row[0], row[1], row[0][c], pivot)
+            for j in before - row[0].keys():
+                if j != c:
+                    holders[j].discard(i)
+            for j in row[0].keys() - before:
+                if j not in holders:
+                    holders[j] = set()
+                    heapq.heappush(queue, j)
+                holders[j].add(i)
+    consistent = not any(row is not None and row[1] for row in work)
+    # back substitution, later pivots first, so each row subtracted is reduced
+    for c in sorted(new, reverse=True):
+        row = new[c]
+        for j in [j for j in row[0] if j != c and j in new]:
+            row[1] = _subtract(row[0], row[1], row[0][j], new[j])
+    return new, consistent

@@ -26,11 +26,11 @@ from typing import Callable, Mapping, Optional, Sequence
 from .exactalg import (
     AlgebraError,
     ChartAlgebra,
+    ExactSystem,
     Exponent,
     LocalizedPoly,
     Poly,
     QQ,
-    solve_linear,
 )
 from .dgla import (
     Carrier,
@@ -620,45 +620,19 @@ def solve_d_equation(
         max_total = max(sum(map(_multi_weight, slots)) for slots in block)
         cands = list(_candidate_slots(car.nderiv, max_total, nslots))
         coeff = LocalizedPoly(car.chart, Poly.monomial(car.chart.variables, mono), powers)
-        # columns: d(coeff (x) slots_c) expanded over rhs slot keys
-        columns = []
-        row_index: dict = {}
-        rows: list = []
-        for slots in block:
-            row_index[slots] = len(rows)
-            rows.append(slots)
-        matrix_cols = []
+        # columns: d(coeff (x) cand) over its image slot keys, which keep the
+        # coefficient coeff up to a rational factor; rows: those keys and the
+        # slots of the block
+        system = ExactSystem(cands)
+        for slots, q in block.items():
+            system.add_rhs(slots, q)
         for cand in cands:
-            img = car.d({cand: coeff}, target_degree)
-            col = [QQ(0)] * len(rows)
-            ok = True
-            extra: dict = {}
-            for slots2, c2 in img.items():
-                # the image keeps coefficient = coeff (up to Q-scaling)
-                q = _extract_scalar(coeff, c2)
-                if slots2 in row_index:
-                    col[row_index[slots2]] = q
-                else:
-                    extra[slots2] = q
-            matrix_cols.append((col, extra))
-        # rows must also constrain image slots outside rhs support: extend
-        extra_keys = sorted({k for _, ex in matrix_cols for k in ex})
-        for k in extra_keys:
-            row_index[k] = len(rows)
-            rows.append(k)
-        matrix = [[QQ(0)] * len(cands) for _ in rows]
-        for j, (col, extra) in enumerate(matrix_cols):
-            for i, v in enumerate(col):
-                matrix[i][j] = v
-            for k, v in extra.items():
-                matrix[row_index[k]][j] = v
-        b = [block.get(slots, QQ(0)) for slots in rows]
-        res = solve_linear(matrix, b)
+            for slots2, c2 in car.d({cand: coeff}, target_degree).items():
+                system.add(slots2, cand, _extract_scalar(coeff, c2))
+        res = system.solve()
         if not res.consistent:
             return None
-        for q, cand in zip(res.particular, cands):
-            if q == 0:
-                continue
+        for cand, q in res.particular.items():
             add = coeff.scale(q)
             solution[cand] = solution[cand] + add if cand in solution else add
     return {k: v for k, v in solution.items() if not v.is_zero()}
@@ -762,68 +736,33 @@ def _gauge_newton_step(car, alg, current, defect) -> Optional[DGLAElement]:
         for m in car.chart.monomials_up_to(max_deg):
             atoms.append({slots: m})
     layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) >= 1]
-    rows: list = []
-    row_index: dict = {}
-    entries: dict = {}
-
-    def row_of(key):
-        if key not in row_index:
-            row_index[key] = len(rows)
-            rows.append(key)
-        return row_index[key]
 
     def coords(elt: DGLAElement):
-        out = {}
         for li, payload in elt.parts.items():
             for slots, c in payload.items():
                 if any(c.powers):
                     raise AlgebraError("localized coefficients outside the window")
                 for e, q in c.numer.terms.items():
-                    out[(li, slots, e)] = out.get((li, slots, e), QQ(0)) + q
-        return out
+                    yield (li, slots, e), q
 
-    cols = []
+    system = ExactSystem()
     for li in layer_idx:
-        for atom in atoms:
+        for ai, atom in enumerate(atoms):
+            system.add_column((li, ai))
             u = DGLAElement(car, alg, 0, {li: atom})
-            eff = u.bracket(current) - u.d()
-            cols.append(((li, atom), coords(eff)))
-    for _, eff in cols:
-        for key in eff:
-            row_of(key)
-    rhs_map = coords(defect)
-    for key in rhs_map:
-        row_of(key)
-    if not rows:
-        return DGLAElement.zero(car, alg, 0)
-    p0 = int(defect.adic_order())
+            for key, q in coords(u.bracket(current) - u.d()):
+                system.add(key, (li, ai), q)
+    for key, q in coords(defect):
+        system.add_rhs(key, -q)
     # solve the rows of adic order <= k for the largest feasible k; the
     # quadratic tail of the gauge action pollutes higher rows, which the next
     # Newton pass cleans up
-    res = None
-    for k in range(alg.order, p0 - 1, -1):
-        keep = [r for r, key in enumerate(rows) if alg.basis_order(key[0]) <= k]
-        matrix = [[QQ(0)] * len(cols) for _ in keep]
-        pos = {r: i for i, r in enumerate(keep)}
-        for j, (_, eff) in enumerate(cols):
-            for key, v in eff.items():
-                r = row_index[key]
-                if r in pos:
-                    matrix[pos[r]][j] = v
-        rhs = [-rhs_map.get(rows[r], QQ(0)) for r in keep]
-        if not keep:
-            return DGLAElement.zero(car, alg, 0)
-        attempt = solve_linear(matrix, rhs)
-        if attempt.consistent:
-            res = attempt
-            break
-    if res is None:
+    solution, failed = system.solve_prefix(lambda key: alg.basis_order(key[0]))
+    if failed is not None and failed <= p0:
         return None
     parts: dict = {}
-    for val, ((li, atom), _) in zip(res.particular, cols):
-        if val == 0:
-            continue
-        pay = {slots: c.scale(val) for slots, c in atom.items()}
+    for (li, ai), val in solution.particular.items():
+        pay = {slots: c.scale(val) for slots, c in atoms[ai].items()}
         parts[li] = car.add(parts.get(li, {}), pay) if li in parts else pay
     return DGLAElement(car, alg, 0, parts)
 
@@ -868,47 +807,33 @@ def fit_gauge_to_action(
         for mono in car.chart.monomials_up_to(max_coeff_degree):
             cands.append({slots: mono})
     for p in range(1, alg.order + 1):
-        rows = []
-        rhs = []
-        row_key = {}
+        layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) == p]
+        system = ExactSystem((li, ci) for li in layer_idx for ci in range(len(cands)))
+        rows = set()
         for key, target in action.items():
             src = pv_key_to_elt(car, alg, key)
             defect = (target - op(gamma, src)).graded_part(p)
             for i, payload in defect.parts.items():
                 c = payload.get((), car.chart.zero())
                 for mono, q in c.numer.terms.items():
-                    rk = (key, i, c.powers, mono)
-                    if rk not in row_key:
-                        row_key[rk] = len(rows)
-                        rows.append(rk)
-                        rhs.append(QQ(0))
-                    rhs[row_key[rk]] += q
-        # columns: applying a candidate (at layer p) to the source monomials
-        cols = []
-        layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) == p]
-        unknowns = []
-        for li in layer_idx:
-            for cand in cands:
-                unknowns.append((li, cand))
-        matrix = [[QQ(0)] * len(unknowns) for _ in rows]
-        for j, (li, cand) in enumerate(unknowns):
-            for key in action:
-                src_val = LocalizedPoly(car.chart, Poly.monomial(car.chart.variables, key))
+                    rows.add((key, i, c.powers, mono))
+                    system.add_rhs((key, i, c.powers, mono), q)
+        # columns: applying a candidate (at layer p) to the source monomials,
+        # on the rows the defect has
+        for key in action:
+            src_val = LocalizedPoly(car.chart, Poly.monomial(car.chart.variables, key))
+            for ci, cand in enumerate(cands):
                 img = car.evaluate(cand, [src_val])
-                if img.is_zero():
-                    continue
-                for mono, q in img.numer.terms.items():
-                    rk = (key, li, img.powers, mono)
-                    if rk in row_key:
-                        matrix[row_key[rk]][j] = q
-        res = solve_linear(matrix, rhs)
+                for li in layer_idx:
+                    for mono, q in img.numer.terms.items():
+                        if (key, li, img.powers, mono) in rows:
+                            system.add((key, li, img.powers, mono), (li, ci), q)
+        res = system.solve()
         if not res.consistent:
             return None
         parts: dict = {}
-        for q, (li, cand) in zip(res.particular, unknowns):
-            if q == 0:
-                continue
-            pay = {slots: c.scale(q) for slots, c in cand.items()}
+        for (li, ci), q in res.particular.items():
+            pay = {slots: c.scale(q) for slots, c in cands[ci].items()}
             parts[li] = car.add(parts.get(li, {}), pay)
         add = DGLAElement(car, alg, 0, parts)
         if not add.is_zero():

@@ -93,8 +93,9 @@ class Budget:
 
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.perf_counter() - self.start
-        status = "PASS" if exc_type is None else "FAIL"
-        print(f"ACCEPTANCE {self.name}: {status} ({elapsed:.1f}s < {self.seconds}s)")
+        over = elapsed >= self.seconds
+        status = "PASS" if exc_type is None and not over else "FAIL"
+        print(f"ACCEPTANCE {self.name}: {status} ({elapsed:.1f}s {'>=' if over else '<'} {self.seconds}s)")
         if exc_type is None:
             assert elapsed < self.seconds, f"{self.name} exceeded its {self.seconds}s budget"
         return False

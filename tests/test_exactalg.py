@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starcover import AlgebraError, ChartAlgebra, LocalizedPoly, Poly, solve_linear
-from starcover.exactalg import matvec
+from starcover.exactalg import ExactSystem, matvec
 
 from conftest import rand_poly
 
@@ -155,6 +155,86 @@ def test_solve_random_residual(rng):
         assert matvec(A, res.particular) == b
         for k in res.kernel:
             assert matvec(A, k) == [Fraction(0)] * n
+
+
+@st.composite
+def sparse_systems(draw):
+    """A keyed system built by accumulation, and the same system as a dense
+    matrix in column declaration order.  Entries land on a small grid, so
+    the same entry is often added to more than once; columns may be left
+    untouched, rows may carry only a right-hand side, and many systems are
+    inconsistent."""
+    ncols = draw(st.integers(0, 6))
+    nrows = draw(st.integers(0, 7))
+    keys = [("c", j) for j in draw(st.permutations(range(ncols)))]
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, max(nrows - 1, 0)), st.integers(0, max(ncols - 1, 0)), values),
+        max_size=24 if nrows and ncols else 0,
+    ))
+    rhs = draw(st.lists(st.tuples(st.integers(0, max(nrows - 1, 0)), values), max_size=8 if nrows else 0))
+    blocks = draw(st.lists(st.integers(1, 3), min_size=nrows, max_size=nrows))
+    system = ExactSystem(keys)
+    matrix = {}
+    b = {}
+    for r, j, v in entries:
+        system.add(("r", r), keys[j], v)
+        row = matrix.setdefault(r, [Fraction(0)] * ncols)
+        row[j] += v
+        b.setdefault(r, Fraction(0))
+    for r, v in rhs:
+        system.add_rhs(("r", r), v)
+        matrix.setdefault(r, [Fraction(0)] * ncols)
+        b[r] = b.get(r, Fraction(0)) + v
+    rows = sorted(matrix)
+    block_of = {("r", r): blocks[r] for r in rows}
+    return system, keys, [matrix[r] for r in rows], [b[r] for r in rows], block_of
+
+
+def dense_solve(matrix, rhs, ncols):
+    # a zero row stands in for an empty system, whose width the dense
+    # solver cannot see
+    return solve_linear(matrix or [[Fraction(0)] * ncols], rhs or [Fraction(0)])
+
+
+def dense_prefix(matrix, rhs, row_blocks, ncols, lowest):
+    """The descending re-solve that the prefix solve replaces: the largest
+    k in [lowest, 3] whose rows of block <= k are consistent, or None."""
+    for k in range(3, lowest - 1, -1):
+        keep = [r for r in range(len(matrix)) if row_blocks[r] <= k]
+        res = dense_solve([matrix[r] for r in keep], [rhs[r] for r in keep], ncols)
+        if res.consistent:
+            return res.particular, k
+    return None, lowest
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_exact_system_matches_dense_oracle(case):
+    system, keys, matrix, rhs, _ = case
+    dense = dense_solve(matrix, rhs, len(keys))
+    sol = system.solve()
+    assert sol.consistent == dense.consistent
+    if dense.consistent:
+        assert list(sol.particular) == [k for k in keys if k in sol.particular]
+        assert all(v != 0 for v in sol.particular.values())
+        assert [sol.particular.get(k, 0) for k in keys] == dense.particular
+    assert [[vec.get(k, 0) for k in keys] for vec in sol.kernel] == dense.kernel
+    assert sol.rank == len(keys) - len(dense.kernel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems(), st.integers(1, 3))
+def test_exact_system_prefix_matches_descending_resolve(case, lowest):
+    system, keys, matrix, rhs, block_of = case
+    sol, failed = system.solve_prefix(block_of.__getitem__)
+    particular, k = dense_prefix(matrix, rhs, [block_of[r] for r in sorted(block_of)], len(keys), lowest)
+    if particular is None:
+        assert failed is not None and failed <= lowest
+    else:
+        assert failed is None or failed > lowest
+        assert k == (3 if failed is None else min(3, failed - 1))
+        assert [sol.particular.get(key, 0) for key in keys] == particular
 
 
 def test_canonical_rendering():

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -181,33 +182,44 @@ def test_cli_determinism(tmp_path):
     assert len(outs) == 1
 
 
-def test_cli_quantize_and_star_table(tmp_path):
-    path = tmp_path / "so3.json"
-    path.write_text(
-        dumps(
-            {
-                "schema": 1,
-                "kind": "poisson",
-                "params": {"gens": ["hbar"], "order": 2},
-                "chart": {"variables": ["x", "y", "z"]},
-                "bivector": "hbar * (z*dx^dy - y*dx^dz + x*dy^dz)",
-            }
-        ),
-        encoding="utf-8",
-    )
-    code, out = _run(["quantize", str(path), "--order", "2"])
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["first_order_bracket"]["{x,y}"] == "hbar * 1/2*z"
-    code, out = _run(["star-table", str(path)])
-    assert code == 0
+DATA = Path(__file__).resolve().parents[1] / "scripts" / "data"
+PINNED = Path(__file__).resolve().parent / "data" / "cli"
+
+# The README samples on scripts/data with their exit codes; the expected
+# stdout bytes are kept in tests/data/cli/<id>.out.
+README_SAMPLES = {
+    "check-mdd-octahedron": (0, ["check-mdd", "octahedron-hbar.json"]),
+    "check-mdd-trivial": (0, ["check-mdd", "trivial.json"]),
+    "obstruction-octahedron": (1, ["obstruction", "octahedron-hbar.json"]),
+    "obstruction-trivial": (0, ["obstruction", "trivial.json"]),
+    "equiv-octahedron-trivial": (1, ["equiv", "octahedron-hbar.json", "trivial.json"]),
+    "quantize-so3": (0, ["quantize", "so3.json", "--order", "2"]),
+    "star-table-so3": (0, ["star-table", "so3.json"]),
+    "cohomology-line-cover": (0, ["cohomology", "line-cover.json"]),
+    "int-mc-ts-pipeline": (0, ["int-mc", "ts-pipeline.json"]),
+}
 
 
-def test_cli_schema_error(tmp_path):
+@pytest.mark.parametrize("sample", README_SAMPLES)
+def test_cli_readme_samples(sample):
+    code, args = README_SAMPLES[sample]
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in args]
+    expected = (PINNED / f"{sample}.out").read_bytes().decode("utf-8")
+    assert _run(argv) == (code, expected)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["check-mdd", "check-add", "exp-add", "int-mc", "equiv", "obstruction",
+     "quantize", "star-table", "cohomology"],
+)
+def test_cli_schema_error(tmp_path, capsys, command):
     path = tmp_path / "bad.json"
-    path.write_text("{\"schema\": 2}", encoding="utf-8")
-    code = main(["check-mdd", str(path)])
-    assert code == 2
+    inputs = [str(path)] * (2 if command == "equiv" else 1)
+    for text in ("{\"schema\": 2}", "[1, 2]"):
+        path.write_text(text, encoding="utf-8")
+        assert main([command, *inputs]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_cli_exp_add_int_mc_pipeline(tmp_path, rng):
