@@ -807,20 +807,24 @@ class CechComplex:
             prev_rank = rank
         return out
 
-    def cocycles(self, p: int) -> list[dict]:
-        """Basis of ker(delta^p), as {face -> coordinate list} dicts."""
-        return [self._unflatten(vec) for vec in self.delta_system(p).solve().kernel]
-
     def representative_cocycles(self, p: int) -> list[dict]:
-        """Cocycles spanning H^p (prune kernel vectors that are coboundaries)."""
-        reps = []
-        for z in self.cocycles(p):
-            if self.coboundary_solve(p, z) is None:
-                reps.append(z)
-                # prune: subtract spans lazily; desk scale keeps this simple
-                if len(reps) >= max(self.betti()[p], 0):
-                    break
-        return reps
+        """Cocycles whose classes form a basis of H^p: the kernel vectors of
+        delta^p that lie outside the span of the coboundaries and of the
+        kernel vectors before them.  They are found in one elimination of
+        delta^{p-1} with the kernel vectors appended as columns: pivots are
+        taken in column order, so a kernel column is a pivot exactly when it
+        is independent of the columns before it."""
+        kernel = self.delta_system(p).solve().kernel
+        system = self.delta_system(p - 1)
+        for j, z in enumerate(kernel):
+            system.add_column(("z", j))
+            for row, v in z.items():
+                system.add(row, ("z", j), v)
+        # a kernel vector is 1 at its free column, the last key it holds
+        dependent = {list(vec)[-1] for vec in system.solve().kernel}
+        return [
+            self._unflatten(z) for j, z in enumerate(kernel) if ("z", j) not in dependent
+        ]
 
     def coboundary_solve(self, p: int, cocycle: dict) -> Optional[dict]:
         """Solve delta b = cocycle with b in C^{p-1}; None when no solution."""

@@ -15,8 +15,8 @@ definitional.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Optional
 
 from .exactalg import AlgebraError, ExactSystem, QQ
 from .params import ParamAlgebra
@@ -45,10 +45,10 @@ from .polydiff import (
     PolydiffCarrier,
     StarProduct,
     apply_cochain,
-    function_element,
+    monomial_basis,
     star_from_mc,
+    sufficient_cert_degree,
 )
-from . import polyvec as pv
 from .thomsullivan import TSHandle, integrate_component, level_zero_element
 
 
@@ -87,17 +87,6 @@ def gauge_operator(flavor: str, log: DGLAElement) -> Callable[[DGLAElement], DGL
     else:
         step = lambda u: log.bracket(u)
     return lambda u: exp_series(step, u)
-
-
-def monomials(nerve: CoverNerve, flavor: str, face: Face, algebra: ParamAlgebra, degree: int):
-    car = face_carrier(nerve, flavor, face)
-    out = []
-    for m in car.chart.monomials_up_to(degree):
-        if flavor == "associative":
-            out.append(function_element(car, algebra, m))
-        else:
-            out.append(pv.function_element(car, algebra, m))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +144,7 @@ class Violation:
 class CheckReport:
     ok: bool
     violations: list
+    defects: dict = field(default_factory=dict)  # (condition, face) -> defect
 
     def first(self) -> Optional[Violation]:
         if self.ok:
@@ -220,122 +210,102 @@ def _record(violations, condition, face, defect: DGLAElement):
         )
 
 
+def _condition_defects(datum, conditions=("i", "ii", "iii", "iv")) -> dict:
+    """{(condition, face): defect} of the descent conditions on the locals b,
+    edge logs g and triple logs a of a datum of either kind; a condition
+    holds at a face exactly when its defect there is zero.
+
+      (i)   d(b_k) + 1/2 [b_k, b_k]                                 charts
+      (ii)  exp(g_01) . b_0 - b_1                                    edges
+      (iii) BCH(-g_02, g_12, g_01) - d_{b_0}(a_012)                  triangles
+      (iv)  BCH_{b_0}(-a_013, a_023, a_012) - exp(ad(-g_01))(a_123)  tetrahedra
+    """
+    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
+    loc, edges, triples = _datum_components(datum)
+
+    def at(data, f, g, degree):
+        """The component of ``data`` at f (zero when absent), moved to g."""
+        return move(nerve, flavor, f, g, _get(data, nerve, flavor, alg, f, degree))
+
+    out = {}
+    if "i" in conditions:
+        for k in nerve.level_faces(0):
+            out[("i", k)] = mc_residue(loc[k])
+    if "ii" in conditions:
+        for e in nerve.level_faces(1):
+            b0, b1 = at(loc, (e[0],), e, 1), at(loc, (e[1],), e, 1)
+            out[("ii", e)] = gauge_act(at(edges, e, e, 0), b0) - b1
+    if "iii" in conditions:
+        for t in nerve.level_faces(2):
+            g01, g02, g12 = (at(edges, (t[i], t[j]), t, 0) for i, j in ((0, 1), (0, 2), (1, 2)))
+            b0 = at(loc, (t[0],), t, 1)
+            out[("iii", t)] = bch_many([-g02, g12, g01]) - twisted_d(b0, at(triples, t, t, -1))
+    if "iv" in conditions:
+        for w in nerve.level_faces(3):
+            a013, a023, a012, a123 = (
+                at(triples, (w[i], w[j], w[k]), w, -1)
+                for i, j, k in ((0, 1, 3), (0, 2, 3), (0, 1, 2), (1, 2, 3))
+            )
+            b0 = at(loc, (w[0],), w, 1)
+            g01 = at(edges, (w[0], w[1]), w, 0)
+            out[("iv", w)] = bch_many([-a013, a023, a012], beta=b0) - ad_exp(-g01, a123)
+    return out
+
+
 def check_add(datum: AddDescentDatum) -> CheckReport:
     """Conditions (i)-(iv) of an additive descent datum, verified exactly on
-    logarithms via BCH and the gauge action."""
-    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
+    logarithms via BCH and the gauge action.  The report keeps every
+    defect."""
+    defects = _condition_defects(datum)
     violations: list = []
-    for k in nerve.level_faces(0):
-        b = _get(datum.delta0, nerve, flavor, alg, k, 1)
-        _record(violations, "i", k, mc_residue(b))
-    for e in nerve.level_faces(1):
-        k0, k1 = (e[0],), (e[1],)
-        b0 = move(nerve, flavor, k0, e, _get(datum.delta0, nerve, flavor, alg, k0, 1))
-        b1 = move(nerve, flavor, k1, e, _get(datum.delta0, nerve, flavor, alg, k1, 1))
-        g = _get(datum.delta1, nerve, flavor, alg, e, 0)
-        _record(violations, "ii", e, gauge_act(g, b0) - b1)
-    for t in nerve.level_faces(2):
-        k0 = (t[0],)
-        e01, e02, e12 = (t[0], t[1]), (t[0], t[2]), (t[1], t[2])
-        g01 = move(nerve, flavor, e01, t, _get(datum.delta1, nerve, flavor, alg, e01, 0))
-        g02 = move(nerve, flavor, e02, t, _get(datum.delta1, nerve, flavor, alg, e02, 0))
-        g12 = move(nerve, flavor, e12, t, _get(datum.delta1, nerve, flavor, alg, e12, 0))
-        lhs = bch_many([-g02, g12, g01])
-        b0 = move(nerve, flavor, k0, t, _get(datum.delta0, nerve, flavor, alg, k0, 1))
-        a = _get(datum.delta2, nerve, flavor, alg, t, -1)
-        _record(violations, "iii", t, lhs - twisted_d(b0, a))
-    for w in nerve.level_faces(3):
-        k0 = (w[0],)
-        b0 = move(nerve, flavor, k0, w, _get(datum.delta0, nerve, flavor, alg, k0, 1))
-        beta0 = b0
-
-        def tri(i, j, k):
-            f = (w[i], w[j], w[k])
-            return move(nerve, flavor, f, w, _get(datum.delta2, nerve, flavor, alg, f, -1))
-
-        a013, a023, a012, a123 = tri(0, 1, 3), tri(0, 2, 3), tri(0, 1, 2), tri(1, 2, 3)
-        e01 = (w[0], w[1])
-        g01 = move(nerve, flavor, e01, w, _get(datum.delta1, nerve, flavor, alg, e01, 0))
-        lhs = bch_many([-a013, a023, a012], beta=beta0)
-        rhs = ad_exp(-g01, a123)
-        _record(violations, "iv", w, lhs - rhs)
-    return CheckReport(not violations, violations)
+    for (condition, face), defect in defects.items():
+        _record(violations, condition, face, defect)
+    return CheckReport(not violations, violations, defects)
 
 
 def check_mdd(datum: MultDescentDatum, cert_degree: Optional[int] = None) -> CheckReport:
     """Def-style conditions of a multiplicative descent datum.
 
-    (edge-morphism): each edge gauge intertwines the neighbouring locals.
+    (edge-morphism): each edge gauge intertwines the neighbouring locals,
+          the additive condition (ii).
     (ii): the 1-cocycle failure equals the inner gauge of the triple unit,
           compared as operators on a monomial basis of the triple overlap.
-    (iii): the twisted 2-cocycle condition, on logarithms via twisted BCH.
+    (iii): the twisted 2-cocycle condition on logarithms, the additive
+          condition (iv).
     """
     nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
+    defects = _condition_defects(datum, ("ii", "iv"))
     violations: list = []
     for e in nerve.level_faces(1):
-        k0, k1 = (e[0],), (e[1],)
-        b0 = move(nerve, flavor, k0, e, datum.locals[k0].element)
-        b1 = move(nerve, flavor, k1, e, datum.locals[k1].element)
-        g = _get(datum.edge_gauges, nerve, flavor, alg, e, 0)
-        _record(violations, "edge-morphism", e, gauge_act(g, b0) - b1)
+        _record(violations, "edge-morphism", e, defects[("ii", e)])
     for t in nerve.level_faces(2):
         k0 = (t[0],)
-        e01, e02, e12 = (t[0], t[1]), (t[0], t[2]), (t[1], t[2])
-        g01 = move(nerve, flavor, e01, t, _get(datum.edge_gauges, nerve, flavor, alg, e01, 0))
-        g02 = move(nerve, flavor, e02, t, _get(datum.edge_gauges, nerve, flavor, alg, e02, 0))
-        g12 = move(nerve, flavor, e12, t, _get(datum.edge_gauges, nerve, flavor, alg, e12, 0))
+        g01, g02, g12 = (
+            move(nerve, flavor, e, t, _get(datum.edge_gauges, nerve, flavor, alg, e, 0))
+            for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
+        )
         b0 = move(nerve, flavor, k0, t, datum.locals[k0].element)
         a = _get(datum.triple_units, nerve, flavor, alg, t, -1)
         ig_log = twisted_d(b0, a)
         # operator comparison on the monomial basis of the triple overlap
-        degree = _mdd_cert_degree(datum, t, [g01, g02, g12, ig_log], cert_degree)
+        if flavor == "poisson":
+            degree = 3 if cert_degree is None else cert_degree
+        else:
+            degree = sufficient_cert_degree(
+                [g01, g02, g12, ig_log, datum.locals[k0].element], cert_degree
+            )
         F01 = gauge_operator(flavor, g01)
         F12 = gauge_operator(flavor, g12)
         F20 = gauge_operator(flavor, -g02)
         IG = gauge_operator(flavor, ig_log)
-        defect = None
-        for m in monomials(nerve, flavor, t, alg, degree):
+        for m in monomial_basis(face_carrier(nerve, flavor, t), alg, degree):
             diff = F20(F12(F01(m))) - IG(m)
             if not diff.is_zero():
-                defect = diff if defect is None else defect
+                _record(violations, "ii", t, diff)
                 break
-        if defect is not None:
-            order = int(defect.adic_order())
-            violations.append(
-                Violation("ii", t, order, defect.graded_part(order).render())
-            )
     for w in nerve.level_faces(3):
-        k0 = (w[0],)
-        b0 = move(nerve, flavor, k0, w, datum.locals[k0].element)
-
-        def tri(i, j, k):
-            f = (w[i], w[j], w[k])
-            return move(nerve, flavor, f, w, _get(datum.triple_units, nerve, flavor, alg, f, -1))
-
-        a013, a023, a012, a123 = tri(0, 1, 3), tri(0, 2, 3), tri(0, 1, 2), tri(1, 2, 3)
-        e01 = (w[0], w[1])
-        g01 = move(nerve, flavor, e01, w, _get(datum.edge_gauges, nerve, flavor, alg, e01, 0))
-        lhs = bch_many([-a013, a023, a012], beta=b0)
-        rhs = ad_exp(-g01, a123)
-        _record(violations, "iii", w, lhs - rhs)
+        _record(violations, "iii", w, defects[("iv", w)])
     return CheckReport(not violations, violations)
-
-
-def _mdd_cert_degree(datum, face, logs, requested: Optional[int]) -> int:
-    """Monomial-basis degree for the condition-(ii) operator comparison:
-    max slot order + 2 across everything involved, asserted at runtime."""
-    if datum.flavor == "poisson":
-        return requested if requested is not None else 3
-    max_slot = 0
-    for elt in logs + [datum.locals[(face[0],)].element]:
-        for payload in elt.parts.values():
-            max_slot = max(max_slot, elt.carrier.max_slot_order(payload))
-    degree = requested if requested is not None else max(max_slot + 2, 2)
-    if degree < max_slot + 2:
-        raise AlgebraError(
-            f"certificate degree {degree} too small for slot order {max_slot}"
-        )
-    return degree
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +442,24 @@ class LayerWindow:
     """Finite-dimensional unknown spaces per face: degree -1 atoms are layer
     monomials; degree 0 atoms are vector fields (poisson) or normalized
     1-slot operators (associative) with bounded slots; degree 1 atoms are
-    bivectors / normalized 2-slot operators."""
+    bivectors / normalized 2-slot operators.
 
-    def __init__(self, nerve: CoverNerve, flavor: str, coeff_degree: int, slot_bound: int = 2):
+    A chart may invert variables, but a restriction that sends a variable to
+    a fraction makes the restricted layers infinite-dimensional, so such a
+    nerve is refused."""
+
+    def __init__(self, nerve: CoverNerve, flavor: str, coeff_degree: int, slot_bound: int):
         self.nerve = nerve
         self.flavor = flavor
         self.coeff_degree = coeff_degree
         self.slot_bound = slot_bound
-        for f in nerve.faces:
-            alg = nerve.algebra(f)
-            if alg.denominators:
-                raise NerveError(
-                    "coefficient layer not finite-dimensional: localized chart "
-                    f"at {f}"
-                )
+        for g in nerve.faces:
+            for f in itertools.combinations(g, len(g) - 1):
+                if f and not all(img.is_polynomial() for img in nerve.restriction(f, g).var_images):
+                    raise NerveError(
+                        "coefficient layer not finite-dimensional: the restriction "
+                        f"{f} -> {g} has a denominator"
+                    )
 
     def atoms(self, face: Face, degree: int) -> list:
         car = face_carrier(self.nerve, self.flavor, face)
@@ -542,6 +516,8 @@ class ObstructionReport:
     cocycle: dict  # triangle face -> degree-(-1) layer payload (render-ready)
     class_is_zero: Optional[bool]
     detail: str
+    # chart face -> order layer of the last iterate's local defect
+    local_residues: dict = field(default_factory=dict)
 
     def render(self) -> str:
         clas = (
@@ -558,7 +534,8 @@ class ObstructionReport:
         )
 
 
-def _window_degree(defects: Sequence[DGLAElement], default: int = 2) -> int:
+def _window_degree(defects: Iterable[DGLAElement], default: int = 2) -> int:
+    """Maximal total coefficient degree over defect terms."""
     deg = default
     for d in defects:
         for payload in d.parts.values():
@@ -567,7 +544,7 @@ def _window_degree(defects: Sequence[DGLAElement], default: int = 2) -> int:
     return deg
 
 
-def _slot_bound(defects: Sequence[DGLAElement], default: int = 2) -> int:
+def _slot_bound(defects: Iterable[DGLAElement], default: int = 2) -> int:
     """Maximal total slot weight over defect terms (d splits slots, so the
     unknown operators may need the full total order of a defect term)."""
     s = default
@@ -672,15 +649,19 @@ def _step_effects(nerve, flavor, alg, cur_loc, cur_edges, cur_tri, unknown_kind,
     return [(tag, f, elt) for tag, f, elt in effects if not elt.is_zero()]
 
 
-def equiv_solve(
-    datum, target, match_locals: bool = True, max_coeff_degree: Optional[int] = None,
-    max_iterations: int = 40,
-):
+# Newton passes in a row that do not raise the lowest defect order; the
+# order is bounded by the parameter algebra, so this also caps the passes
+_STALL_LIMIT = 6
+
+
+def equiv_solve(datum, target, match_locals: bool = True):
     """Find a twisted gauge transformation carrying ``datum`` to ``target``
     (literal equality of components), or return the first-order
     ObstructionReport.  Newton iteration on the pronilpotent group: each pass
     solves the exact linearization over all central layers jointly and
-    composes the step; termination is by the filtration.
+    composes the step; termination is by the filtration.  The unknowns'
+    window is sized by the lowest defect layer; higher layers are reached by
+    later passes.
 
     With match_locals=False the locals of the target are ignored and only the
     edge/triple components are matched (the trivialization problem)."""
@@ -692,26 +673,26 @@ def equiv_solve(
     if target is None:
         match_locals = False
     t = identity_transformation(nerve, flavor, alg)
-    current = _apply(t, datum)
+    layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) >= 1]
     stall = 0
     best_order = 0
-    for _ in range(max_iterations):
+    while True:
+        current = _apply(t, datum)
         d0, d1, d2 = _full_defects(current, target, match_locals)
-        defects = list(d0.values()) + list(d1.values()) + list(d2.values())
-        if all(v.is_zero() for v in defects):
+        defects = [v for d in (d0, d1, d2) for v in d.values() if not v.is_zero()]
+        if not defects:
             return t
-        p0 = int(min(v.adic_order() for v in defects if not v.is_zero()))
+        p0 = int(min(v.adic_order() for v in defects))
         if p0 > best_order:
             best_order = p0
             stall = 0
         else:
             stall += 1
-            if stall > 6:
-                return _obstruction_report(nerve, flavor, alg, d2, p0)
-        coeff_deg = max_coeff_degree if max_coeff_degree is not None else _window_degree(defects)
-        window = LayerWindow(nerve, flavor, coeff_deg, _slot_bound(defects))
+            if stall > _STALL_LIMIT:
+                return _obstruction_report(nerve, flavor, alg, d0, d2, p0)
+        lowest = [v.graded_part(p0) for v in defects]
+        window = LayerWindow(nerve, flavor, _window_degree(lowest, 1), _slot_bound(lowest, 1))
         cur_loc, cur_edges, cur_tri = _datum_components(current)
-        layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) >= 1]
         system = ExactSystem()
         for tag, defect in (("loc", d0), ("edge", d1), ("tri", d2)):
             for face, v in defect.items():
@@ -738,7 +719,7 @@ def equiv_solve(
         # the step pollutes higher orders, which the next pass cleans up
         solution, failed = system.solve_prefix(lambda row: alg.basis_order(row[2]))
         if failed is not None and failed <= p0:
-            return _obstruction_report(nerve, flavor, alg, d2, p0)
+            return _obstruction_report(nerve, flavor, alg, d0, d2, p0)
         step = identity_transformation(nerve, flavor, alg)
         for (ukind, face, li, ai), val in solution.particular.items():
             car = face_carrier(nerve, flavor, face)
@@ -748,17 +729,12 @@ def equiv_solve(
             else:
                 step.eps[face] = step.eps[face] + DGLAElement(car, alg, -1, {li: payload})
         t = compose_transformations(step, t, datum)
-        current = _apply(t, datum)
-    d0, d1, d2 = _full_defects(current, target, match_locals)
-    if all(v.is_zero() for v in list(d0.values()) + list(d1.values()) + list(d2.values())):
-        return t
-    p0 = int(min(v.adic_order() for v in list(d0.values()) + list(d1.values()) + list(d2.values()) if not v.is_zero()))
-    return _obstruction_report(nerve, flavor, alg, d2, p0)
 
 
-def _obstruction_report(nerve, flavor, alg, d2, p) -> ObstructionReport:
+def _obstruction_report(nerve, flavor, alg, d0, d2, p) -> ObstructionReport:
     """The triangle defect at the failing order, with its Cech class decided
-    by the coboundary solver on the constant/truncated layer."""
+    by the coboundary solver on the constant/truncated layer, and the local
+    defects at that order."""
     cocycle = {}
     renders = {}
     degree_bound = -1
@@ -795,7 +771,10 @@ def _obstruction_report(nerve, flavor, alg, d2, p) -> ObstructionReport:
         class_is_zero = zero
     except NerveError:
         class_is_zero = None
-    return ObstructionReport(p, renders, class_is_zero, "first unsolvable central layer")
+    local_residues = {k: v.graded_part(p) for k, v in d0.items()}
+    return ObstructionReport(
+        p, renders, class_is_zero, "first unsolvable central layer", local_residues
+    )
 
 
 def trivial_datum_from_global(
@@ -852,7 +831,7 @@ def int_mc(handle: TSHandle, beta: DGLAElement | MCElement, validate: bool = Tru
             raise AlgebraError(
                 f"int_mc correction fell behind at order {first}: solver bug"
             )
-        datum = _int_correct(datum, p)
+        datum = _int_correct(datum, p, rep.defects)
     rep = check_add(datum)
     if not rep.ok:
         raise AlgebraError("int_mc failed to produce a valid datum: " + rep.render())
@@ -880,52 +859,15 @@ def _split_faces(element: DGLAElement, nerve, flavor, alg, degree) -> dict:
     return out
 
 
-def _int_correct(datum: AddDescentDatum, p: int) -> AddDescentDatum:
+def _int_correct(datum: AddDescentDatum, p: int, defects: Mapping) -> AddDescentDatum:
     """Solve the order-p linear correction (c0, c1, c2) of conditions
-    (i)-(iv); inconsistency surfaces as an error naming the order."""
+    (i)-(iv), given their ``defects`` as check_add computed them;
+    inconsistency surfaces as an error naming the order."""
     nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
     kind = kind_of(flavor)
-    # exact defects
-    def_i = {}
-    for k in nerve.level_faces(0):
-        def_i[k] = mc_residue(_get(datum.delta0, nerve, flavor, alg, k, 1))
-    def_ii = {}
-    for e in nerve.level_faces(1):
-        k0, k1 = (e[0],), (e[1],)
-        b0 = move(nerve, flavor, k0, e, _get(datum.delta0, nerve, flavor, alg, k0, 1))
-        b1 = move(nerve, flavor, k1, e, _get(datum.delta0, nerve, flavor, alg, k1, 1))
-        def_ii[e] = gauge_act(_get(datum.delta1, nerve, flavor, alg, e, 0), b0) - b1
-    def_iii = {}
-    for tr in nerve.level_faces(2):
-        k0 = (tr[0],)
-        e01, e02, e12 = (tr[0], tr[1]), (tr[0], tr[2]), (tr[1], tr[2])
-        g01 = move(nerve, flavor, e01, tr, _get(datum.delta1, nerve, flavor, alg, e01, 0))
-        g02 = move(nerve, flavor, e02, tr, _get(datum.delta1, nerve, flavor, alg, e02, 0))
-        g12 = move(nerve, flavor, e12, tr, _get(datum.delta1, nerve, flavor, alg, e12, 0))
-        b0 = move(nerve, flavor, k0, tr, _get(datum.delta0, nerve, flavor, alg, k0, 1))
-        a = _get(datum.delta2, nerve, flavor, alg, tr, -1)
-        def_iii[tr] = bch_many([-g02, g12, g01]) - twisted_d(b0, a)
-    def_iv = {}
-    for w in nerve.level_faces(3):
-        k0 = (w[0],)
-        b0 = move(nerve, flavor, k0, w, _get(datum.delta0, nerve, flavor, alg, k0, 1))
-
-        def tri(i, j, k):
-            f = (w[i], w[j], w[k])
-            return move(nerve, flavor, f, w, _get(datum.delta2, nerve, flavor, alg, f, -1))
-
-        e01 = (w[0], w[1])
-        g01 = move(nerve, flavor, e01, w, _get(datum.delta1, nerve, flavor, alg, e01, 0))
-        def_iv[w] = bch_many([-tri(0, 1, 3), tri(0, 2, 3), tri(0, 1, 2)], beta=b0) - ad_exp(
-            -g01, tri(1, 2, 3)
-        )
-    defects = (
-        list(def_i.values())
-        + list(def_ii.values())
-        + list(def_iii.values())
-        + list(def_iv.values())
+    window = LayerWindow(
+        nerve, flavor, _window_degree(defects.values()), _slot_bound(defects.values())
     )
-    window = LayerWindow(nerve, flavor, _window_degree(defects), _slot_bound(defects))
     layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) == p]
     # unknown (name, face) -> (degree, atoms); its columns are (name, face, li, ai)
     unknowns = {}
@@ -939,10 +881,10 @@ def _int_correct(datum: AddDescentDatum, p: int) -> AddDescentDatum:
         for ai in range(len(atoms))
     )
 
-    def equation(tag, face, defect, terms):
+    def equation(tag, face, terms):
         """Rows of  sum(sign * unknown|face) + defect = 0  at order p: an
         unknown on ``face`` itself enters through d, any other by restriction."""
-        for row, v in window.rows(tag, face, defect.graded_part(p).parts):
+        for row, v in window.rows(tag, face, defects[(tag, face)].graded_part(p).parts):
             system.add_rhs(row, -v)
         car = face_carrier(nerve, flavor, face)
         for (name, src), sign in terms:
@@ -959,17 +901,17 @@ def _int_correct(datum: AddDescentDatum, p: int) -> AddDescentDatum:
 
     # (i): d(c0_k) + Di = 0
     for k in nerve.level_faces(0):
-        equation("i", k, def_i[k], [(("c0", k), 1)])
+        equation("i", k, [(("c0", k), 1)])
     # (ii): c0|k0 - c0|k1 - d(c1_e) + Dii = 0
     for e in nerve.level_faces(1):
-        equation("ii", e, def_ii[e], [(("c0", (e[0],)), 1), (("c0", (e[1],)), -1), (("c1", e), -1)])
+        equation("ii", e, [(("c0", (e[0],)), 1), (("c0", (e[1],)), -1), (("c1", e), -1)])
     # (iii): -c1|02 + c1|12 + c1|01 - d(c2_t) + Diii = 0
     for tr in nerve.level_faces(2):
         e01, e02, e12 = (tr[0], tr[1]), (tr[0], tr[2]), (tr[1], tr[2])
-        equation("iii", tr, def_iii[tr], [(("c1", e01), 1), (("c1", e12), 1), (("c1", e02), -1), (("c2", tr), -1)])
+        equation("iii", tr, [(("c1", e01), 1), (("c1", e12), 1), (("c1", e02), -1), (("c2", tr), -1)])
     # (iv): -c2|013 + c2|023 + c2|012 - c2|123 + Div = 0
     for w in nerve.level_faces(3):
-        equation("iv", w, def_iv[w], [
+        equation("iv", w, [
             (("c2", (w[0], w[1], w[3])), -1),
             (("c2", (w[0], w[2], w[3])), 1),
             (("c2", (w[0], w[1], w[2])), 1),

@@ -246,6 +246,18 @@ class MCViolation:
         return f"MC violated at adic order {self.order}: {self.residue.render()}"
 
 
+@dataclass
+class IntertwinerCertificate:
+    """Whether exp(ad(gamma)) intertwined two induced structures on every
+    monomial pair up to ``degree``, the failing pairs, and whether it fixes
+    the unit."""
+
+    holds: bool
+    degree: int
+    failures: list
+    fixes_unit: bool = True
+
+
 class MCCheckError(AlgebraError):
     def __init__(self, violation: MCViolation):
         super().__init__(violation.render())
@@ -291,13 +303,7 @@ def gauge_act(gamma: DGLAElement | GaugeElement, beta: DGLAElement) -> DGLAEleme
         raise AlgebraError("gauge logarithms have degree 0")
     if gamma.adic_order() < 1:
         raise AlgebraError("gauge logarithms have adic order >= 1")
-    acc = DGLAElement.zero(beta.carrier, beta.algebra, 1)
-    term = beta
-    k = 0
-    while not term.is_zero():
-        acc = acc + term
-        k += 1
-        term = gamma.bracket(term).scale(Fraction(1, k))
+    acc = ad_exp(gamma, beta)
     # term at the top of the loop is ad(gamma)^k (d gamma) / k!
     term = gamma.d()
     k = 0
@@ -325,14 +331,7 @@ def ad_exp(gamma: DGLAElement, x: DGLAElement) -> DGLAElement:
     """exp(ad(gamma))(x) for a degree-0 gamma of adic order >= 1."""
     if gamma.degree != 0:
         raise AlgebraError("ad-exponentials need a degree-0 logarithm")
-    acc = DGLAElement.zero(x.carrier, x.algebra, x.degree)
-    term = x
-    k = 0
-    while not term.is_zero():
-        acc = acc + term
-        k += 1
-        term = gamma.bracket(term).scale(Fraction(1, k))
-    return acc
+    return exp_series(gamma.bracket, x)
 
 
 def exp_series(apply_once: Callable[[DGLAElement], DGLAElement], x: DGLAElement) -> DGLAElement:

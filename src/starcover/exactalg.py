@@ -665,7 +665,8 @@ class ExactSolution:
     ``particular`` holds the nonzero values of the particular solution in
     column declaration order (free columns are zero), or is None when the
     system is inconsistent; ``kernel`` is a basis of the kernel of the
-    matrix, one vector per free column, in declaration order."""
+    matrix, one vector per free column, in declaration order; a vector is 1
+    at its free column, which is its last key."""
 
     particular: Optional[dict]
     rank: int

@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 from .exactalg import (
@@ -36,9 +37,11 @@ from .dgla import (
     Carrier,
     DGLAElement,
     GaugeElement,
+    IntertwinerCertificate,
     MCElement,
     MCViolation,
     MCCheckError,
+    bch,
     exp_series,
     gauge_act,
     mc_check,
@@ -60,12 +63,13 @@ def _multi_weight(a: Exponent) -> int:
     return sum(a)
 
 
-def _splittings(alpha: Exponent, parts: int):
+@lru_cache(maxsize=None)
+def _splittings(alpha: Exponent, parts: int) -> tuple:
     """All ways to write alpha as an ordered sum of ``parts`` multi-indices,
-    with the multinomial coefficient of the generalized Leibniz rule."""
+    with the multinomial coefficient of the generalized Leibniz rule.  Every
+    bracket asks for the same few, so each is built once."""
     if parts == 1:
-        yield (alpha,), 1
-        return
+        return (((alpha,), 1),)
     n = len(alpha)
 
     def var_splits(total: int):
@@ -77,14 +81,14 @@ def _splittings(alpha: Exponent, parts: int):
             yield comp, w
 
     per_var = [list(var_splits(alpha[v])) for v in range(n)]
+    out = []
     for combo in itertools.product(*per_var):
         coeff = 1
         for _, w in combo:
             coeff *= w
-        out = []
-        for k in range(parts):
-            out.append(tuple(combo[v][0][k] for v in range(n)))
-        yield tuple(out), coeff
+        split = tuple(tuple(combo[v][0][k] for v in range(n)) for k in range(parts))
+        out.append((split, coeff))
+    return tuple(out)
 
 
 def _compositions_of(total: int, parts: int):
@@ -243,10 +247,12 @@ class PolydiffCarrier(Carrier):
         for xs, f in x.items():
             alpha = xs[i]
             for ys, g in y.items():
-                nparts = 1 + len(ys)
-                for parts, w in _splittings(alpha, nparts):
+                leading = {}  # first part -> f times that derivative of g
+                for parts, w in _splittings(alpha, 1 + len(ys)):
                     kappa_c, kappa_args = parts[0], parts[1:]
-                    coeff = f * self.deriv(g, kappa_c)
+                    coeff = leading.get(kappa_c)
+                    if coeff is None:
+                        coeff = leading[kappa_c] = f * self.deriv(g, kappa_c)
                     if w != 1:
                         coeff = coeff.scale(w)
                     if coeff.is_zero():
@@ -449,13 +455,14 @@ def associativity_oracle(star: StarProduct, degree: int) -> list:
     return failures
 
 
-def sufficient_cert_degree(element: DGLAElement, requested: Optional[int]) -> int:
-    """Certificate degree: the requested one, or max slot order + 2.  A
-    polydifferential identity that holds on all monomials up to slot order
-    plus one holds identically; the +2 margin is asserted here at runtime."""
-    car = element.carrier
+def sufficient_cert_degree(elements: Sequence[DGLAElement], requested: Optional[int]) -> int:
+    """Certificate degree: the requested one, or max slot order + 2 over the
+    ``elements``.  A polydifferential identity that holds on all monomials up
+    to slot order plus one holds identically; the +2 margin is asserted here
+    at runtime."""
     max_slot = max(
-        (car.max_slot_order(p) for p in element.parts.values()), default=0
+        (e.carrier.max_slot_order(p) for e in elements for p in e.parts.values()),
+        default=0,
     )
     degree = requested if requested is not None else max(max_slot + 2, 2)
     if degree < max_slot + 2:
@@ -476,20 +483,12 @@ def star_from_mc(beta: DGLAElement | MCElement, cert_degree: Optional[int] = Non
     for payload in mc.element.parts.values():
         if not car.is_normalized(payload):
             raise AlgebraError("star cochains must be normalized")
-    degree = sufficient_cert_degree(mc.element, cert_degree)
+    degree = sufficient_cert_degree([mc.element], cert_degree)
     star = StarProduct(mc)
     failures = associativity_oracle(star, degree)
     if failures:
         raise AlgebraError("MC held but associativity oracle failed: convention bug")
     return star
-
-
-@dataclass
-class IntertwinerCertificate:
-    holds: bool
-    degree: int
-    failures: list
-    fixes_unit: bool = True
 
 
 def star_gauge(
@@ -506,7 +505,7 @@ def star_gauge(
     out = StarProduct(beta2)
     op = lambda u: exp_series(lambda t: apply_cochain(log, [t]), u)
     cert_degree = sufficient_cert_degree(
-        star.beta.element + beta2.element + log.d(), cert_degree
+        [star.beta.element + beta2.element + log.d()], cert_degree
     )
     monos = car.chart.monomials_up_to(cert_degree)
     degs = [m.numer.total_degree() for m in monos]
@@ -668,109 +667,42 @@ class NotEquivalent:
 
 
 def solve_gauge(
-    star: StarProduct,
-    star2: StarProduct,
-    g_table: Optional[Mapping] = None,
-    cert_degree: Optional[int] = None,
-    max_iterations: int = 40,
+    star: StarProduct, star2: StarProduct, g_table: Optional[Mapping] = None
 ) -> GaugeElement | NotEquivalent:
     """Find a normalized gauge logarithm gamma with
     star_gauge(gamma, star) == star2, or report the first obstructed adic
     order with its Hochschild-level residue.
 
-    Newton iteration on the gauge group: each pass solves the exact
-    linearization d(v) - [v, beta_cur] = defect over all layers jointly and
-    composes the step; the filtration terminates the loop."""
+    This is descent.equiv_solve on the one-chart cover of the chart: the two
+    star products are additive descent data with no edges, the chart's eta
+    is the gauge, and a failure carries the last iterate's local defect."""
     if star.carrier != star2.carrier or star.algebra != star2.algebra:
         raise AlgebraError("star products over different algebras")
-    car = star.carrier
-    alg = star.algebra
     if g_table is not None:
-        return _solve_gauge_from_table(star, star2, g_table, cert_degree)
-    gamma = DGLAElement.zero(car, alg, 0)
-    best_order = 0
-    stall = 0
-    from .dgla import bch
+        return _solve_gauge_from_table(star, star2, g_table)
+    # imported here: both modules build on this one
+    from .cechnerve import CoverNerve
+    from .descent import AddDescentDatum, ObstructionReport, equiv_solve
 
-    for _ in range(max_iterations):
-        current = gauge_act(gamma, star.beta.element)
-        defect = current - star2.beta.element
-        if defect.is_zero():
-            return GaugeElement(gamma)
-        p0 = int(defect.adic_order())
-        if p0 > best_order:
-            best_order, stall = p0, 0
-        else:
-            stall += 1
-            if stall > 6:
-                return NotEquivalent(p0, defect.graded_part(p0))
-        v = _gauge_newton_step(car, alg, current, defect)
-        if v is None:
-            return NotEquivalent(p0, defect.graded_part(p0))
-        gamma = bch(v, gamma)
-    current = gauge_act(gamma, star.beta.element)
-    defect = current - star2.beta.element
-    if defect.is_zero():
-        return GaugeElement(gamma)
-    p0 = int(defect.adic_order())
-    return NotEquivalent(p0, defect.graded_part(p0))
+    chart = star.carrier.chart
+    if star.carrier != PolydiffCarrier(chart):
+        raise AlgebraError("solve_gauge needs cochains that differentiate every chart variable")
+    nerve = CoverNerve(("U0",), {(0,): chart}, {})
+    source, target = (
+        AddDescentDatum(nerve, "associative", star.algebra, {(0,): s.beta.element}, {}, {})
+        for s in (star, star2)
+    )
+    found = equiv_solve(source, target)
+    if isinstance(found, ObstructionReport):
+        return NotEquivalent(found.order, found.local_residues[(0,)])
+    return GaugeElement(found.eta[(0,)])
 
 
-def _gauge_newton_step(car, alg, current, defect) -> Optional[DGLAElement]:
-    """Solve [v, current] - d(v) = -defect exactly over a windowed space of
-    normalized degree-0 atoms at every layer index.  The slot window is the
-    maximal total slot weight over the lowest defect layer (d splits one slot
-    into several, so the unknown's slot order can exceed each individual
-    slot); later layers are mopped up by subsequent Newton passes."""
-    p0 = int(defect.adic_order())
-    max_total = 0
-    max_deg = 1
-    for li, payload in defect.parts.items():
-        if alg.basis_order(li) != p0:
-            continue
-        for slots, c in payload.items():
-            max_total = max(max_total, sum(map(_multi_weight, slots)))
-            max_deg = max(max_deg, c.numer.total_degree())
-    atoms = []
-    for slots in _candidate_slots(car.nderiv, max(max_total, 1), 1):
-        for m in car.chart.monomials_up_to(max_deg):
-            atoms.append({slots: m})
-    layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) >= 1]
-
-    def coords(elt: DGLAElement):
-        for li, payload in elt.parts.items():
-            for slots, c in payload.items():
-                if any(c.powers):
-                    raise AlgebraError("localized coefficients outside the window")
-                for e, q in c.numer.terms.items():
-                    yield (li, slots, e), q
-
-    system = ExactSystem()
-    for li in layer_idx:
-        for ai, atom in enumerate(atoms):
-            system.add_column((li, ai))
-            u = DGLAElement(car, alg, 0, {li: atom})
-            for key, q in coords(u.bracket(current) - u.d()):
-                system.add(key, (li, ai), q)
-    for key, q in coords(defect):
-        system.add_rhs(key, -q)
-    # solve the rows of adic order <= k for the largest feasible k; the
-    # quadratic tail of the gauge action pollutes higher rows, which the next
-    # Newton pass cleans up
-    solution, failed = system.solve_prefix(lambda key: alg.basis_order(key[0]))
-    if failed is not None and failed <= p0:
-        return None
-    parts: dict = {}
-    for (li, ai), val in solution.particular.items():
-        pay = {slots: c.scale(val) for slots, c in atoms[ai].items()}
-        parts[li] = car.add(parts.get(li, {}), pay) if li in parts else pay
-    return DGLAElement(car, alg, 0, parts)
-
-
-def _solve_gauge_from_table(star, star2, g_table, cert_degree):
+def _solve_gauge_from_table(star, star2, g_table):
     """Recover a differential gauge from the action of an unknown gauge on a
     monomial basis: fit a normalized 1-slot cochain layer by layer so its
-    exponential reproduces the table, then hand back the fitted logarithm."""
+    exponential reproduces the table, then hand back the fitted logarithm
+    when it carries ``star`` to ``star2``."""
     car = star.carrier
     max_deg = max(
         (c.numer.total_degree() for v in g_table.values() for p in v.parts.values()
@@ -782,6 +714,10 @@ def _solve_gauge_from_table(star, star2, g_table, cert_degree):
     if fitted is None:
         lowest = DGLAElement.zero(car, star.algebra, 0)
         return NotEquivalent(1, lowest)
+    defect = gauge_act(fitted, star.beta.element) - star2.beta.element
+    if not defect.is_zero():
+        order = int(defect.adic_order())
+        return NotEquivalent(order, defect.graded_part(order))
     return fitted
 
 
@@ -837,8 +773,6 @@ def fit_gauge_to_action(
             parts[li] = car.add(parts.get(li, {}), pay)
         add = DGLAElement(car, alg, 0, parts)
         if not add.is_zero():
-            from .dgla import bch
-
             gamma = bch(gamma, add)
     return GaugeElement(gamma)
 

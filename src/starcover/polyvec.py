@@ -26,6 +26,7 @@ from .dgla import (
     Carrier,
     DGLAElement,
     GaugeElement,
+    IntertwinerCertificate,
     MCElement,
     exp_series,
     gauge_act,
@@ -305,13 +306,6 @@ def apply_gauge_operator(gamma: DGLAElement, u: DGLAElement) -> DGLAElement:
 def exp_gauge_operator(gamma: DGLAElement, u: DGLAElement) -> DGLAElement:
     """exp(ad_A(gamma)) applied to an R (x) C element."""
     return exp_series(lambda t: apply_gauge_operator(gamma, t), u)
-
-
-@dataclass
-class IntertwinerCertificate:
-    holds: bool
-    degree: int
-    failures: list
 
 
 def poisson_gauge(

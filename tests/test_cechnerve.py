@@ -21,7 +21,7 @@ from starcover import (
     octahedron_nerve,
     param_algebra_truncate,
 )
-from starcover.cechnerve import cech_face_map, identity_refinement, transport_payload
+from starcover.cechnerve import CechComplex, cech_face_map, identity_refinement, transport_payload
 
 from conftest import rand_poly, simplex_nerve
 
@@ -227,13 +227,38 @@ def test_concatenation_refinements_commute():
         assert lhs == rhs
 
 
-def test_octahedron_cohomology():
+def test_octahedron_cohomology(monkeypatch):
     nerve = octahedron_nerve()
     cx = cech_cohomology(nerve)
     assert cx.betti() == [1, 0, 1]
+    # the representatives need delta^2 and delta^1 only
+    built = []
+    original = CechComplex.delta_system
+    monkeypatch.setattr(
+        CechComplex, "delta_system", lambda self, p: built.append(p) or original(self, p)
+    )
     reps = cx.representative_cocycles(2)
-    assert len(reps) == 1
+    assert sorted(built) == [1, 2]
+    assert reps == [{(0, 2, 4): [Fraction(1)]}]
     assert cx.coboundary_solve(2, reps[0]) is None
+
+
+def test_representative_cocycles_span_cohomology():
+    # two disjoint triangle boundaries: b1 = 2, and the edges (0,1) and (0,2)
+    # are cohomologous, so they cannot both stand for a class
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    nerve = constant_nerve([f"U{i}" for i in range(6)], [(i,) for i in range(6)] + edges)
+    cx = cech_cohomology(nerve)
+    assert cx.betti()[1] == 2
+    reps = cx.representative_cocycles(1)
+    assert len(reps) == 2
+    # independent in H^1: appended to delta^0 they raise its rank by two
+    system = cx.delta_system(0)
+    for j, z in enumerate(reps):
+        system.add_column(j)
+        for f, coords in z.items():
+            system.add((f, 0), j, coords[0])
+    assert system.solve().rank == cx.delta_system(0).solve().rank + 2
 
 
 def test_one_chart_cohomology():

@@ -267,6 +267,16 @@ def test_equiv_solve_identity_and_round_trip(rng):
     assert check_mdd(mdd2).ok
     found = equiv_solve(mdd, mdd2)
     assert isinstance(found, TwistedTransformation)
+    assert {f: v.render() for f, v in found.eta.items()} == {
+        (0,): "hbar * 3*dx + hbar^2 * (-5*dx + dy)",
+        (1,): "hbar * ((3*y + 2)*dx + (-2*y + 3)*dy) + hbar^2 * (-4*dx + dy)",
+        (2,): "hbar * ((2*x - 2*y)*dy)",
+    }
+    assert {f: v.render() for f, v in found.eps.items()} == {
+        (0, 1): "hbar * 1",
+        (0, 2): "0",
+        (1, 2): "0",
+    }
     out = mdd_gauge(found, mdd)
     for k in nerve.level_faces(0):
         assert out.locals[k].element == mdd2.locals[k].element

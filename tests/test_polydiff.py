@@ -19,6 +19,7 @@ from starcover import (
     bch,
     first_order_bracket,
     first_order_tables_equal,
+    gauge_act,
     gerstenhaber,
     hkr,
     hochschild_d,
@@ -47,11 +48,11 @@ C2 = ChartAlgebra(("x", "y"))
 C3 = ChartAlgebra(("x", "y", "z"))
 
 
-def moyal_star(order=2):
+def moyal_star(order=2, chart=C2):
     R = param_algebra_truncate(["hbar"], order)
-    vcar = PolyvecCarrier(C2)
-    pi = vcar.term((0, 1), C2.one())
-    beta = _moyal_exponential(PolydiffCarrier(C2), DGLAElement.single(vcar, R, 1, 1, pi))
+    vcar = PolyvecCarrier(chart)
+    pi = vcar.term((0, 1), chart.one())
+    beta = _moyal_exponential(PolydiffCarrier(chart), DGLAElement.single(vcar, R, 1, 1, pi))
     return star_from_mc(require_mc(beta))
 
 
@@ -191,19 +192,36 @@ def test_solve_gauge_round_trips(rng):
     car = S.carrier
     R = S.algebra
     seeds = [
-        car.term(((2, 0),), C2.one()),
-        car.term(((1, 1),), C2.var("x")),
-        car.add(car.term(((0, 2),), C2.one()), car.term(((1, 0),), C2.var("y"))),
+        (car.term(((2, 0),), C2.one()), "hbar * d[2,0]"),
+        (car.term(((1, 1),), C2.var("x")), "hbar * x*d[1,1]"),
+        (
+            car.add(car.term(((0, 2),), C2.one()), car.term(((1, 0),), C2.var("y"))),
+            "hbar * (d[0,2] + 1/2*y*d[1,0]) + hbar^2 * (-1/2*d[1,1])",
+        ),
     ]
-    for pay in seeds:
+    for pay, rendered in seeds:
         gamma0 = DGLAElement.single(car, R, 0, 1, pay)
         S2, cert = star_gauge(gamma0, S)
         assert cert.holds
         rec = solve_gauge(S, S2)
         assert isinstance(rec, GaugeElement)
+        assert rec.log.render() == rendered
         S2b, cert2 = star_gauge(rec, S)
         assert cert2.holds
         assert S2b.beta.element == S2.beta.element
+
+
+def test_solve_gauge_on_localized_chart():
+    # x is invertible on the chart, but the star product and the gauge have
+    # polynomial coefficients, so the one-chart layers stay finite
+    chart = ChartAlgebra(("x", "y"), (Poly.var(("x", "y"), "x"),))
+    S = moyal_star(2, chart)
+    car = S.carrier
+    gamma0 = DGLAElement.single(car, S.algebra, 0, 1, car.term(((2, 0),), chart.one()))
+    S2, _ = star_gauge(gamma0, S)
+    rec = solve_gauge(S, S2)
+    assert isinstance(rec, GaugeElement)
+    assert rec.log.render() == "hbar * d[2,0]"
 
 
 def test_solve_gauge_trivial():
@@ -243,6 +261,12 @@ def test_solve_gauge_table_route():
     assert isinstance(rec, GaugeElement)
     S2b, cert = star_gauge(rec, S)
     assert cert.holds
+    # the same table does not carry S to itself: the fitted gauge is checked
+    # against the target, and the report names the order where they differ
+    out = solve_gauge(S, S, g_table=table)
+    assert isinstance(out, NotEquivalent)
+    assert out.order == 1
+    assert out.residue == (gauge_act(rec.log, S.beta.element) - S.beta.element).graded_part(1)
 
 
 def test_solve_gauge_from_action_table():
