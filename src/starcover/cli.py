@@ -169,7 +169,7 @@ def cmd_obstruction(args) -> int:
         "trivializable": False,
         "order": result.order,
         "class_is_zero": result.class_is_zero,
-        "class": f"[c]*{scale}" if result.class_is_zero is False else "coboundary",
+        "class": {False: f"[c]*{scale}", True: "coboundary", None: "undecided"}[result.class_is_zero],
         "cocycle": {str(k): v for k, v in sorted(result.cocycle.items())},
     }
     _emit(args, report, "really twisted (to the truncation order): " + result.render())

@@ -734,7 +734,10 @@ def equiv_solve(datum, target, match_locals: bool = True):
 def _obstruction_report(nerve, flavor, alg, d0, d2, p) -> ObstructionReport:
     """The triangle defect at the failing order, with its Cech class decided
     by the coboundary solver on the constant/truncated layer, and the local
-    defects at that order."""
+    defects at that order.  With no triangle defect at that order the
+    failure lies in the locals or the edges, which the triangle class cannot
+    decide: the class is then undecided and the detail names the charts
+    whose local residue is nonzero."""
     cocycle = {}
     renders = {}
     degree_bound = -1
@@ -750,6 +753,14 @@ def _obstruction_report(nerve, flavor, alg, d0, d2, p) -> ObstructionReport:
             if c is not None and not c.numer.is_constant():
                 all_const = False
                 degree_bound = max(degree_bound, c.numer.total_degree())
+    local_residues = {k: v.graded_part(p) for k, v in d0.items()}
+    if not cocycle:
+        faces = [nerve.label(k) for k, v in sorted(local_residues.items()) if not v.is_zero()]
+        where = f"nonzero local residue on {', '.join(faces)}" if faces else "edge defects only"
+        return ObstructionReport(
+            p, {}, None,
+            f"first unsolvable central layer; no triangle defect, {where}", local_residues,
+        )
     class_is_zero: Optional[bool] = None
     try:
         spec = LayerSpec(nerve, -1 if all_const else degree_bound)
@@ -771,7 +782,6 @@ def _obstruction_report(nerve, flavor, alg, d0, d2, p) -> ObstructionReport:
         class_is_zero = zero
     except NerveError:
         class_is_zero = None
-    local_residues = {k: v.graded_part(p) for k, v in d0.items()}
     return ObstructionReport(
         p, renders, class_is_zero, "first unsolvable central layer", local_residues
     )

@@ -437,19 +437,56 @@ def monomial_triples(chart: ChartAlgebra, degree: int):
                     yield a, b, c
 
 
+def _basis_function(car: PolydiffCarrier, alg: ParamAlgebra, key) -> DGLAElement:
+    """The function x^e / d^powers for a key (powers, e); empty powers mean
+    none."""
+    powers, e = key
+    mono = LocalizedPoly(car.chart, Poly.monomial(car.chart.variables, e), powers)
+    return function_element(car, alg, mono)
+
+
 def associativity_oracle(star: StarProduct, degree: int) -> list:
     """Independent route: evaluate (a*b)*c - a*(b*c) on all monomial triples
     of total degree <= degree; returns the failing triples.  This is a
     cross-check of the MC route (which is the exact proof of associativity),
-    evaluated purely through operator application."""
-    car = star.carrier
+    evaluated purely through operator application.
+
+    The star product is applied once per pair of basis functions x^e/d^p
+    (keys (p, e)); each side of a triple is expanded from that table by
+    R-bilinearity: (a*b)*c is the sum over the terms q r_i x^e/d^p of a*b of
+    q r_i (x^e/d^p * c).  A product may leave the degree <= ``degree``
+    monomials, so the table is keyed by exponents and filled lazily."""
+    car, alg = star.carrier, star.algebra
+    table: dict = {}
+
+    def times(u, v) -> DGLAElement:
+        out = table.get((u, v))
+        if out is None:
+            out = table[(u, v)] = star.product(
+                _basis_function(car, alg, u), _basis_function(car, alg, v)
+            )
+        return out
+
+    def expand(x: DGLAElement, apply: Callable) -> DGLAElement:
+        # sum of q r_i apply((p, e)) over the terms q r_i x^e/d^p of x
+        acc: dict = {}
+        for i, payload in x.parts.items():
+            c = payload[()]
+            for e, q in c.numer.terms.items():
+                for j, image in apply((c.powers, e)).parts.items():
+                    k = alg.mul_index(i, j)
+                    if k is None:
+                        continue
+                    v = image[()].scale(q)
+                    acc[k] = acc[k] + v if k in acc else v
+        return DGLAElement(car, alg, -1, {k: car.from_coeff(v) for k, v in acc.items()})
+
+    key = lambda m: (m.powers, next(iter(m.numer.terms)))
     failures = []
     for a, b, c in monomial_triples(car.chart, degree):
-        ea = function_element(car, star.algebra, a)
-        eb = function_element(car, star.algebra, b)
-        ec = function_element(car, star.algebra, c)
-        lhs = star.product(star.product(ea, eb), ec)
-        rhs = star.product(ea, star.product(eb, ec))
+        ka, kb, kc = key(a), key(b), key(c)
+        lhs = expand(times(ka, kb), lambda t: times(t, kc))
+        rhs = expand(times(kb, kc), lambda t: times(ka, t))
         if lhs != rhs:
             failures.append((a.render(), b.render(), c.render()))
     return failures
@@ -615,6 +652,11 @@ def solve_d_equation(
     blocks = _coeff_blocks(car, rhs)
     nslots = target_degree + 1
     solution: DiffPayload = {}
+    # d = [mu0, -] never differentiates the coefficient (mu0's is constant),
+    # so d(coeff (x) cand) = coeff d(1 (x) cand): one d per candidate serves
+    # every block
+    one = car.chart.one()
+    unit_images: dict = {}  # cand -> {image slots: rational}
     for (powers, mono), block in blocks.items():
         max_total = max(sum(map(_multi_weight, slots)) for slots in block)
         cands = list(_candidate_slots(car.nderiv, max_total, nslots))
@@ -626,8 +668,14 @@ def solve_d_equation(
         for slots, q in block.items():
             system.add_rhs(slots, q)
         for cand in cands:
-            for slots2, c2 in car.d({cand: coeff}, target_degree).items():
-                system.add(slots2, cand, _extract_scalar(coeff, c2))
+            image = unit_images.get(cand)
+            if image is None:
+                image = unit_images[cand] = {
+                    slots2: _extract_scalar(one, c2)
+                    for slots2, c2 in car.d({cand: one}, target_degree).items()
+                }
+            for slots2, q in image.items():
+                system.add(slots2, cand, q)
         res = system.solve()
         if not res.consistent:
             return None
@@ -721,11 +769,6 @@ def _solve_gauge_from_table(star, star2, g_table):
     return fitted
 
 
-def pv_key_to_elt(car, alg, key):
-    mono = LocalizedPoly(car.chart, Poly.monomial(car.chart.variables, key))
-    return function_element(car, alg, mono)
-
-
 def fit_gauge_to_action(
     star: StarProduct,
     action: Mapping[Exponent, DGLAElement],
@@ -747,7 +790,7 @@ def fit_gauge_to_action(
         system = ExactSystem((li, ci) for li in layer_idx for ci in range(len(cands)))
         rows = set()
         for key, target in action.items():
-            src = pv_key_to_elt(car, alg, key)
+            src = _basis_function(car, alg, ((), key))
             defect = (target - op(gamma, src)).graded_part(p)
             for i, payload in defect.parts.items():
                 c = payload.get((), car.chart.zero())

@@ -20,6 +20,7 @@ from starcover import (
     build_nerve,
     param_algebra_truncate,
 )
+from starcover.polydiff import _moyal_exponential
 
 
 def rand_fraction(rng, lo=-3, hi=3):
@@ -95,6 +96,18 @@ def simplex_nerve(n, chart_vars=("x", "y")):
         if len(g) == len(f) + 1 and set(f) <= set(g)
     }
     return build_nerve([f"U{i}" for i in range(n)], charts, rms)
+
+
+def one_chart_zero_and_moyal(order=2):
+    """One chart with coordinates x, y, and two degree-1 cochains on it: zero
+    and the Moyal star of dx^dy.  Returns (nerve, algebra, zero, moyal)."""
+    chart = ChartAlgebra(("x", "y"))
+    nerve = build_nerve(["U0"], {(0,): chart}, {})
+    R = param_algebra_truncate(["hbar"], order)
+    vcar = PolyvecCarrier(chart)
+    pi = DGLAElement.single(vcar, R, 1, 1, vcar.term((0, 1), chart.one()))
+    car = PolydiffCarrier(chart)
+    return nerve, R, DGLAElement.zero(car, R, 1), _moyal_exponential(car, pi)
 
 
 @pytest.fixture

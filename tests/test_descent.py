@@ -40,7 +40,7 @@ from starcover.descent import (
 from starcover.thomsullivan import integrate_component, level_zero_element
 from starcover.descent import _split_faces
 
-from conftest import rand_poly, simplex_nerve
+from conftest import one_chart_zero_and_moyal, rand_poly, simplex_nerve
 
 
 def rand_cech(rng, nerve, R, level, deg, minorder=1, maxdeg=1):
@@ -320,6 +320,25 @@ def test_int_mc_gauge_compatibility(rng):
     add2 = int_mc(H, beta2)
     found = equiv_solve(add1, add2)
     assert isinstance(found, TwistedTransformation)
+
+
+def test_obstruction_undecided_when_only_locals_fail():
+    # one chart, zero local against the Moyal star of dx^dy: there is no
+    # triangle, so no Cech class decides the failure; the local residue does
+    nerve, R, zero, moyal = one_chart_zero_and_moyal()
+    source, target = (
+        AddDescentDatum(nerve, "associative", R, {(0,): local}, {}, {}) for local in (zero, moyal)
+    )
+    report = equiv_solve(source, target)
+    assert isinstance(report, ObstructionReport)
+    assert report.order == 1 and report.class_is_zero is None and report.cocycle == {}
+    assert report.local_residues[(0,)].render() == (
+        "hbar * (1/2*d[0,1]⊗d[1,0] - 1/2*d[1,0]⊗d[0,1])"
+    )
+    assert report.render() == (
+        "obstruction at adic order 1 (class undecided); layer 2-cocycle: {}; "
+        "first unsolvable central layer; no triangle defect, nonzero local residue on U0"
+    )
 
 
 def test_obstruction_618_and_coboundary(rng):

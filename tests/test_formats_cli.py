@@ -37,7 +37,7 @@ from starcover.formats import (
     render_nerve,
 )
 
-from conftest import simplex_nerve
+from conftest import one_chart_zero_and_moyal, simplex_nerve
 
 
 def test_expression_round_trips():
@@ -170,6 +170,22 @@ def test_cli_check_mdd_and_obstruction(tmp_path):
     assert rep["trivializable"] is False
     assert rep["class"] == "[c]*hbar"
     assert rep["order"] == 1
+
+
+def test_cli_obstruction_undecided_class(tmp_path):
+    # a failure in the locals alone has no triangle class to decide
+    nerve, R, zero, moyal = one_chart_zero_and_moyal()
+    paths = []
+    for name, local in (("zero", zero), ("moyal", moyal)):
+        datum = MultDescentDatum(nerve, "associative", R, {(0,): require_mc(local)}, {}, {})
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(dumps(render_descent(datum)), encoding="utf-8")
+    code, out = _run(["obstruction", str(paths[0]), "--against", str(paths[1])])
+    assert code == 1
+    rep = json.loads(out)
+    assert (rep["order"], rep["class_is_zero"], rep["class"], rep["cocycle"]) == (
+        1, None, "undecided", {}
+    )
 
 
 def test_cli_determinism(tmp_path):

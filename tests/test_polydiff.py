@@ -34,18 +34,22 @@ from starcover import (
 )
 from starcover.polydiff import (
     StarProduct,
+    _candidate_slots,
     _moyal_exponential,
     apply_cochain,
     associativity_oracle,
     fit_gauge_to_action,
     function_element,
     monomial_triples,
+    solve_d_equation,
 )
 
 from conftest import rand_element, rand_poly
 
 C2 = ChartAlgebra(("x", "y"))
 C3 = ChartAlgebra(("x", "y", "z"))
+# Q[x, y, 1/x]
+CX = ChartAlgebra(("x", "y"), (Poly.var(("x", "y"), "x"),))
 
 
 def moyal_star(order=2, chart=C2):
@@ -169,6 +173,91 @@ def test_mc_iff_associativity_both_directions(rng):
     assert lowest == chk.order == 1
     # MC element: the oracle is empty
     assert associativity_oracle(moyal_star(2), 4) == []
+
+
+def per_triple_oracle(star, degree):
+    """The associativity check without the product table: four star products
+    from scratch per monomial triple, compared as elements."""
+    car = star.carrier
+    failures = []
+    for a, b, c in monomial_triples(car.chart, degree):
+        ea, eb, ec = (function_element(car, star.algebra, m) for m in (a, b, c))
+        lhs = star.product(star.product(ea, eb), ec)
+        rhs = star.product(ea, star.product(eb, ec))
+        if lhs != rhs:
+            failures.append((a.render(), b.render(), c.render()))
+    return failures
+
+
+def _localize(rng, element):
+    """Divide every coefficient of a cochain over CX by a seeded power of x."""
+    return element.map_payload(
+        lambda pay: {s: LocalizedPoly(CX, c.numer, (rng.randint(0, 2),)) for s, c in pay.items()}
+    )
+
+
+def test_associativity_oracle_matches_per_triple_route(rng):
+    # seeded non-MC cochains (coefficient degree up to 3, above the slot
+    # weight, so products leave the oracle's monomials) over Q[x, y], over
+    # Q[x, y, 1/x], and over a two-generator parameter algebra
+    hbar2 = param_algebra_truncate(["hbar"], 2)
+    st2 = param_algebra_truncate(["s", "t"], 2)
+    cases = [(C2, hbar2, False)] * 6 + [(CX, hbar2, True)] * 4 + [(C2, st2, False)] * 4
+    failing = []
+    for chart, R, localize in cases:
+        car = PolydiffCarrier(chart)
+        beta = DGLAElement.zero(car, R, 1)
+        while not isinstance(mc_check(beta), MCViolation):
+            beta = rand_element(rng, car, R, 1, minorder=1, kind="polydiff", maxdeg=3)
+            if localize:
+                beta = _localize(rng, beta)
+        star = StarProduct(MCElement(beta))  # bypass validation on purpose
+        expected = per_triple_oracle(star, 4)
+        assert associativity_oracle(star, 4) == expected
+        failing.append(len(expected))
+    assert all(failing)
+    assert associativity_oracle(moyal_star(2, CX), 4) == per_triple_oracle(moyal_star(2, CX), 4) == []
+
+
+def test_associativity_oracle_one_product_per_pair(monkeypatch):
+    S = quantize_affine_order2(so3_structure(2))
+    calls = []
+    original = StarProduct.product
+    monkeypatch.setattr(
+        StarProduct, "product", lambda self, u, v: calls.append(1) or original(self, u, v)
+    )
+    assert associativity_oracle(S, 4) == []
+    # 715 triples, 210 monomial pairs of total degree <= 4 in three variables
+    assert len(calls) == 210
+
+
+@pytest.mark.parametrize("chart", [C2, CX], ids=["polynomial", "localized"])
+def test_hochschild_d_scales_with_coefficient(chart, rng):
+    # d = [mu0, -] never differentiates the coefficient of its argument, so
+    # solve_d_equation reuses one unit image per candidate in every block
+    car = PolydiffCarrier(chart)
+    for nslots in (1, 2, 3):
+        for cand in _candidate_slots(car.nderiv, 3, nslots):
+            unit = car.d({cand: chart.one()}, nslots - 1)
+            powers = (rng.randint(0, 2),) * len(chart.denominators)
+            f = LocalizedPoly(chart, rand_poly(rng, chart, 3, 3).numer, powers)
+            if f.is_zero():
+                continue
+            image = car.d({cand: f}, nslots - 1)
+            assert set(image) == set(unit)
+            for slots, c in unit.items():
+                assert image[slots] == f * c
+
+
+def test_solve_d_equation_round_trip_on_localized_chart(rng):
+    car = PolydiffCarrier(CX)
+    R = param_algebra_truncate(["hbar"], 1)
+    for _ in range(5):
+        v = _localize(rng, rand_element(rng, car, R, 1, minorder=1, kind="polydiff"))
+        for payload in v.parts.values():
+            rhs = car.d(payload, 1)
+            found = solve_d_equation(car, rhs, 1)
+            assert found is not None and car.eq(car.d(found, 1), rhs)
 
 
 def test_star_gauge_and_composition(rng):
