@@ -49,7 +49,7 @@ from .polydiff import (
     star_from_mc,
     sufficient_cert_degree,
 )
-from .thomsullivan import TSHandle, integrate_component, level_zero_element
+from .thomsullivan import TSHandle, integrate_component, level_zero_element, validate_compatibility
 
 
 FLAVORS = ("associative", "poisson")
@@ -814,17 +814,16 @@ def obstruction(datum: MultDescentDatum, against: Optional[MultDescentDatum] = N
 # ---------------------------------------------------------------------------
 
 
-def int_mc(handle: TSHandle, beta: DGLAElement | MCElement, validate: bool = True) -> AddDescentDatum:
+def int_mc(handle: TSHandle, beta: DGLAElement | MCElement) -> AddDescentDatum:
     """Integrate an MC element of the Thom-Sullivan DG Lie algebra to an
     additive descent datum: the square-zero formulas (level-0 value, edge and
     triangle simplex integrals) plus order-by-order central-layer corrections
-    of conditions (i)-(iv)."""
+    of conditions (i)-(iv).  The input is first checked for compatibility
+    (validate_compatibility, raising TSError) and for the MC equation
+    (require_mc)."""
     b = beta.element if isinstance(beta, MCElement) else beta
-    if validate:
-        from .thomsullivan import validate_compatibility
-
-        validate_compatibility(b)
-        require_mc(b)
+    validate_compatibility(b)
+    require_mc(b)
     nerve, flavor, alg = handle.nerve, _flavor_of_kind(handle.kind), handle.algebra
     delta0 = _split_faces(level_zero_element(handle, b), nerve, flavor, alg, 1)
     delta1 = _split_faces(integrate_component(handle, b, 1), nerve, flavor, alg, 0)

@@ -587,8 +587,11 @@ def _raw_ts_component(handle, nerve, flavor, algebra, spec):
     dts = frozenset(spec.get("dts", []))
     label = spec.get("face")
     text = spec.get("value")
-    _require(isinstance(level, int) and level >= 0, "ts component needs a level")
+    _require(isinstance(level, int) and 0 <= level <= nerve.max_level(),
+             "ts component needs a level between 0 and the nerve's top level")
     face = _face_of(label, nerve.indices)
+    _require(len(face) == level + 1, f"ts component face {label!r} has level != {level}")
+    _require(dts <= frozenset(range(1, level + 1)), f"ts component dts must lie in 1..{level}")
     from .cechnerve import extend_chart
 
     chart = extend_chart(nerve.algebra(face), level)

@@ -6,8 +6,9 @@ the Whitney map used to manufacture compatible elements.
 A total-degree-k element stores, for every level l <= max level and every
 dt-subset S of {1..l}, a Cech payload of internal degree k - |S| over the
 t-extended face charts.  Degenerate-face components are never stored; they
-are forced by the codegeneracies and spot-reconstructed one level above the
-top during validation.
+are forced by the codegeneracies, and the coface conditions between stored
+levels imply every condition that involves them (see
+validate_compatibility).
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class TSCarrier(Carrier):
 
     def __hash__(self):
         return hash(("ts", self.nerve, self.kind))
-
-    def cech(self, level: int) -> CechCarrier:
-        return self._cech[level]
 
     # -- payload basics ------------------------------------------------------
 
@@ -302,34 +300,42 @@ def _add_payload(kind: str, a, b):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def _all_order_preserving(p: int, q: int):
-    for vals in itertools.combinations_with_replacement(range(q + 1), p + 1):
-        yield vals
-
-
 def validate_compatibility(element: DGLAElement) -> None:
     """Check (1 (x) g(alpha))(u_p) = (Omega(alpha) (x) 1)(u_q) for the coface
-    generators between stored levels, and spot-check the codegeneracy-forced
-    top level.  Raises TSError naming the offending alpha."""
+    generators delta_i: [q-1] -> [q] between stored levels, that is
+    delta_i^* u_q(tau) = transport(u_{q-1}(tau o delta_i)) at every present
+    q-face tau, q <= top level.  Raises TSError naming the offending alpha.
+
+    This is the whole end condition.  g and Omega are functors, so the
+    condition for a composite follows from those for its factors, and every
+    order-preserving map is cofaces after codegeneracies (May, Simplicial
+    Objects in Algebraic Topology, 1967, section 1).  A weakly increasing
+    tuple w with support tau (a present k-face) and collapse sigma: [q] -> [k]
+    carries the forced value u(w) = sigma^* u_k(tau); the codegeneracy
+    conditions hold by this definition, since the collapse of w o s is
+    sigma o s.  What remains are the coface conditions at degenerate w, at
+    every level up to and above the top, for v = w o delta_i:
+    - sigma o delta_i is onto [k]: v has support tau and collapse
+      sigma o delta_i, so u(v) = delta_i^* sigma^* u_k(tau) = delta_i^* u(w),
+      both sides the same pullback, with no transport;
+    - otherwise j = sigma(i) has no other preimage, and the simplicial
+      identity sigma o delta_i = delta_j o sigma_v holds with sigma_v the
+      collapse of v onto its support tau o delta_j.  The condition reads
+      transport(sigma_v^* u_{k-1}(tau o delta_j)) = sigma_v^* delta_j^* u_k(tau).
+      Transport acts on the chart variables and their derivations, and
+      pullback on the t-variables and dt's, so the two commute; the
+      condition is sigma_v^* of the coface condition at (tau, j), which
+      k <= top level puts among the ones checked here.
+    Components on degenerate simplices therefore need no check of their
+    own."""
     car = element.carrier
     if not isinstance(car, TSCarrier):
         raise TSError("compatibility validation expects a TS element")
-    nerve = car.nerve
-    L = car.levels
-    for q in range(1, L + 1):
+    for q in range(1, car.levels + 1):
         p = q - 1
         for i in range(q + 1):
             alpha = tuple(j if j < i else j + 1 for j in range(p + 1))
             _check_alpha(element, alpha, p, q)
-    # spot-reconstruction one level above the top: all weakly increasing
-    # tuples are degenerate there; their forced values must satisfy the
-    # coface conditions coming from level L.
-    _spot_check_top(element)
-
-
-def _component_at(element: DGLAElement, level: int, S: frozenset, basis_index: int):
-    payload = element.parts.get(basis_index, {})
-    return payload.get((level, S), {})
 
 
 def _check_alpha(element: DGLAElement, alpha, p: int, q: int) -> None:
@@ -404,74 +410,6 @@ def _payload_eq(kind, a, b) -> bool:
         if va != vb:
             return False
     return True
-
-
-def _forced_value(element: DGLAElement, bi: int, w: tuple, target_levels: int):
-    """The codegeneracy-forced value of the bundle at a (possibly degenerate)
-    weakly increasing tuple w, as forms on Delta^{len(w)-1} over the chart of
-    support(w): pull the stored support-level component back along the
-    canonical collapse."""
-    car: TSCarrier = element.carrier
-    nerve = car.nerve
-    kind = car.kind
-    support = tuple(sorted(set(w)))
-    k = len(support) - 1
-    pos = {v: i for i, v in enumerate(support)}
-    sigma = tuple(pos[v] for v in w)
-    p = len(w) - 1
-    payload = element.parts.get(bi, {})
-    out: dict[frozenset, dict] = {}
-    for (l, S), comp in payload.items():
-        if l != k:
-            continue
-        data = comp.get(support)
-        if data is None:
-            continue
-        pulled = _pullback_component(nerve, kind, support, data, S, sigma, p, k)
-        for S_src, pdata in pulled.items():
-            out[S_src] = _add_payload(kind, out.get(S_src, {}), pdata) if S_src in out else pdata
-    return support, {S: d for S, d in out.items() if d}
-
-
-def _spot_check_top(element: DGLAElement) -> None:
-    """Reconstruct the forced components one level above the top on all
-    degenerate tuples and verify the coface conditions into them: the forced
-    value at w restricted along each coface must match the forced value of
-    the sub-tuple, transported to the larger support."""
-    car: TSCarrier = element.carrier
-    nerve = car.nerve
-    kind = car.kind
-    L = car.levels
-    q = L + 1
-    labels = range(len(nerve.indices))
-    for bi in element.parts:
-        for w in itertools.combinations_with_replacement(labels, q + 1):
-            sup_w = tuple(sorted(set(w)))
-            if sup_w not in nerve.faces:
-                continue
-            sup, forced_w = _forced_value(element, bi, w, L)
-            for i in range(q + 1):
-                delta = tuple(j if j < i else j + 1 for j in range(q))
-                # rhs: pull the forced value at w back along delta_i
-                rhs: dict[frozenset, dict] = {}
-                for S, data in forced_w.items():
-                    pulled = _pullback_component(nerve, kind, sup, data, S, delta, q - 1, q)
-                    for S2, pd in pulled.items():
-                        rhs[S2] = _add_payload(kind, rhs.get(S2, {}), pd) if S2 in rhs else pd
-                # lhs: forced value of the sub-tuple, moved to sup's chart
-                v = tuple(w[a] for a in delta)
-                sup_v, forced_v = _forced_value(element, bi, v, L)
-                lhs: dict[frozenset, dict] = {}
-                for S, data in forced_v.items():
-                    moved = transport_payload(nerve, kind, sup_v, sup, data, tdim=q - 1)
-                    if moved:
-                        lhs[S] = moved
-                for S in set(lhs) | set(rhs):
-                    if not _payload_eq(kind, lhs.get(S, {}), rhs.get(S, {})):
-                        raise TSError(
-                            f"codegeneracy propagation fails at tuple {w}, "
-                            f"coface {i}"
-                        )
 
 
 # ---------------------------------------------------------------------------

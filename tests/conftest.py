@@ -98,6 +98,23 @@ def simplex_nerve(n, chart_vars=("x", "y")):
     return build_nerve([f"U{i}" for i in range(n)], charts, rms)
 
 
+def shear_nerve(n):
+    """The full (n-1)-simplex nerve with chart (x, y) on every face and
+    non-identity restrictions: f -> g sends x to x and y to
+    y + (g[0] - f[0]) * x^2.  The shifts add up along any path, so the
+    restrictions are functorial."""
+    faces = [f for r in range(1, n + 1) for f in itertools.combinations(range(n), r)]
+    charts = {f: ChartAlgebra(("x", "y")) for f in faces}
+    rms = {}
+    for f in charts:
+        for g in charts:
+            if len(g) == len(f) + 1 and set(f) <= set(g):
+                x, y = charts[g].var("x"), charts[g].var("y")
+                shift = LocalizedPoly.const(charts[g], g[0] - f[0]) * x * x
+                rms[(f, g)] = RestrictionMap.build(charts[f], charts[g], [x, y + shift])
+    return build_nerve([f"U{i}" for i in range(n)], charts, rms)
+
+
 def one_chart_zero_and_moyal(order=2):
     """One chart with coordinates x, y, and two degree-1 cochains on it: zero
     and the Moyal star of dx^dy.  Returns (nerve, algebra, zero, moyal)."""

@@ -40,7 +40,7 @@ from starcover.descent import (
 from starcover.thomsullivan import integrate_component, level_zero_element
 from starcover.descent import _split_faces
 
-from conftest import one_chart_zero_and_moyal, rand_poly, simplex_nerve
+from conftest import one_chart_zero_and_moyal, rand_poly, shear_nerve, simplex_nerve
 
 
 def rand_cech(rng, nerve, R, level, deg, minorder=1, maxdeg=1):
@@ -280,6 +280,24 @@ def test_equiv_solve_identity_and_round_trip(rng):
     out = mdd_gauge(found, mdd)
     for k in nerve.level_faces(0):
         assert out.locals[k].element == mdd2.locals[k].element
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pipeline_through_sheared_restrictions(rng, n):
+    # restrictions y -> y + c*x^2: transport acts on coefficients and on
+    # derivations in every step from int_mc to equiv_solve
+    nerve = shear_nerve(n)
+    R = param_algebra_truncate(["hbar"], 2)
+    H = ts_normalize(nerve, "polyvec", R)
+    add = int_mc(H, make_mc_ts(rng, nerve, R, H))
+    target_add = add_gauge(rand_transformation(rng, nerve, R), add)
+    source, target = exp_add(add), exp_add(target_add)
+    assert check_mdd(source).ok and check_mdd(target).ok
+    found = equiv_solve(source, target)
+    assert isinstance(found, TwistedTransformation)
+    out = mdd_gauge(found, source)
+    for k in nerve.level_faces(0):
+        assert out.locals[k].element == target.locals[k].element
 
 
 def test_int_mc_square_zero_formulas(rng):

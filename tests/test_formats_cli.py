@@ -238,6 +238,47 @@ def test_cli_schema_error(tmp_path, capsys, command):
         assert capsys.readouterr().err.startswith("input error: ")
 
 
+def _ts_pipeline_with_component(tmp_path, component):
+    obj = json.loads((DATA / "ts-pipeline.json").read_text(encoding="utf-8"))
+    obj["components"] = [component]
+    path = tmp_path / "ts.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "component, alpha",
+    [
+        ({"level": 1, "dts": [], "face": "U0,U1", "value": "hbar^2 * x*dx^dy"}, "(1,)"),
+        ({"level": 0, "dts": [], "face": "U0", "value": "hbar^2 * x*dx^dy"}, "(0,)"),
+    ],
+    ids=["edge", "vertex"],
+)
+def test_cli_int_mc_incompatible_component(tmp_path, capsys, component, alpha):
+    path = _ts_pipeline_with_component(tmp_path, component)
+    assert main(["int-mc", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"mathematical failure: compatibility fails for alpha={alpha} at face U0,U1, dt-set []\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        {"level": 2, "dts": [1, 2], "face": "U0", "value": "hbar^2 * x"},
+        {"level": 5, "dts": [], "face": "U0", "value": "hbar^2 * x*dx^dy"},
+        {"level": 1, "dts": [7], "face": "U0,U1", "value": "hbar^2 * x*dx"},
+    ],
+    ids=["face-of-another-level", "level-above-top", "dt-outside-level"],
+)
+def test_cli_int_mc_malformed_component(tmp_path, capsys, component):
+    # a face of another level, a level above the nerve's top, a dt index
+    # outside the level
+    path = _ts_pipeline_with_component(tmp_path, component)
+    assert main(["int-mc", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ts component")
+
+
 def test_cli_exp_add_int_mc_pipeline(tmp_path, rng):
     nerve = simplex_nerve(3)
     ts_obj = {

@@ -1,11 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from starcover import (
     CechCarrier,
     DGLAElement,
+    LocalizedPoly,
     MCElement,
     gauge_act,
     mc_check,
@@ -14,13 +18,24 @@ from starcover import (
     validate_compatibility,
     whitney,
 )
+from starcover.cechnerve import transport_payload
 from starcover.thomsullivan import (
+    TSCarrier,
     TSError,
+    _add_payload,
+    _payload_eq,
+    _pullback_component,
     integrate_component,
     level_zero_element,
 )
 
-from conftest import rand_poly, simplex_nerve
+from conftest import (
+    rand_poly,
+    rand_polydiff_payload,
+    rand_polyvec_payload,
+    shear_nerve,
+    simplex_nerve,
+)
 
 
 @pytest.fixture
@@ -151,3 +166,194 @@ def test_whitney_edge_integral():
     validate_compatibility(elt)
     back = integrate_component(H, elt, 1)
     assert back == cochain
+
+
+# ---------------------------------------------------------------------------
+# the codegeneracy spot check: validate_compatibility's docstring proves it
+# implied by the coface conditions; kept here as the oracle of that proof
+# ---------------------------------------------------------------------------
+
+
+def _forced_value(element: DGLAElement, bi: int, w: tuple, target_levels: int):
+    """The codegeneracy-forced value of the bundle at a (possibly degenerate)
+    weakly increasing tuple w, as forms on Delta^{len(w)-1} over the chart of
+    support(w): pull the stored support-level component back along the
+    canonical collapse."""
+    car: TSCarrier = element.carrier
+    nerve = car.nerve
+    kind = car.kind
+    support = tuple(sorted(set(w)))
+    k = len(support) - 1
+    pos = {v: i for i, v in enumerate(support)}
+    sigma = tuple(pos[v] for v in w)
+    p = len(w) - 1
+    payload = element.parts.get(bi, {})
+    out: dict[frozenset, dict] = {}
+    for (l, S), comp in payload.items():
+        if l != k:
+            continue
+        data = comp.get(support)
+        if data is None:
+            continue
+        pulled = _pullback_component(nerve, kind, support, data, S, sigma, p, k)
+        for S_src, pdata in pulled.items():
+            out[S_src] = _add_payload(kind, out.get(S_src, {}), pdata) if S_src in out else pdata
+    return support, {S: d for S, d in out.items() if d}
+
+
+def _spot_check_top(element: DGLAElement) -> None:
+    """Reconstruct the forced components one level above the top on all
+    degenerate tuples and verify the coface conditions into them: the forced
+    value at w restricted along each coface must match the forced value of
+    the sub-tuple, transported to the larger support."""
+    car: TSCarrier = element.carrier
+    nerve = car.nerve
+    kind = car.kind
+    L = car.levels
+    q = L + 1
+    labels = range(len(nerve.indices))
+    for bi in element.parts:
+        for w in itertools.combinations_with_replacement(labels, q + 1):
+            sup_w = tuple(sorted(set(w)))
+            if sup_w not in nerve.faces:
+                continue
+            sup, forced_w = _forced_value(element, bi, w, L)
+            for i in range(q + 1):
+                delta = tuple(j if j < i else j + 1 for j in range(q))
+                # rhs: pull the forced value at w back along delta_i
+                rhs: dict[frozenset, dict] = {}
+                for S, data in forced_w.items():
+                    pulled = _pullback_component(nerve, kind, sup, data, S, delta, q - 1, q)
+                    for S2, pd in pulled.items():
+                        rhs[S2] = _add_payload(kind, rhs.get(S2, {}), pd) if S2 in rhs else pd
+                # lhs: forced value of the sub-tuple, moved to sup's chart
+                v = tuple(w[a] for a in delta)
+                sup_v, forced_v = _forced_value(element, bi, v, L)
+                lhs: dict[frozenset, dict] = {}
+                for S, data in forced_v.items():
+                    moved = transport_payload(nerve, kind, sup_v, sup, data, tdim=q - 1)
+                    if moved:
+                        lhs[S] = moved
+                for S in set(lhs) | set(rhs):
+                    if not _payload_eq(kind, lhs.get(S, {}), rhs.get(S, {})):
+                        raise TSError(
+                            f"codegeneracy propagation fails at tuple {w}, "
+                            f"coface {i}"
+                        )
+
+
+def full_check(element):
+    """The coface conditions followed by the codegeneracy spot check."""
+    validate_compatibility(element)
+    _spot_check_top(element)
+
+
+def rejects(check, element) -> bool:
+    try:
+        check(element)
+    except TSError:
+        return True
+    return False
+
+
+NERVES = {
+    "simplex3": lambda: simplex_nerve(3),
+    "simplex4": lambda: simplex_nerve(4),
+    "shear3": lambda: shear_nerve(3),
+    "shear4": lambda: shear_nerve(4),
+}
+CASES = [(kind, name) for kind in ("polyvec", "polydiff") for name in NERVES]
+
+
+def rand_cochain(rng, nerve, R, kind, level, degree, maxdeg):
+    car = CechCarrier(nerve, kind, level, 0)
+    parts = {}
+    for i in range(1, len(R.basis)):
+        comp = {}
+        for f in nerve.level_faces(level):
+            fcar = car.face_carriers[f]
+            if kind == "polyvec":
+                pay = rand_polyvec_payload(rng, fcar, degree, maxdeg)
+            else:
+                pay = rand_polydiff_payload(rng, fcar, degree, max_slot=1, maxdeg=maxdeg)
+            if not fcar.is_zero(pay):
+                comp[f] = pay
+        if comp:
+            parts[i] = comp
+    return DGLAElement(car, R, degree, parts)
+
+
+@lru_cache(maxsize=None)
+def compatible_element(kind, nerve_name, seed):
+    """Whitney images at levels 0-2 moved by a Whitney-built gauge: a
+    compatible degree-1 element whose t-dependence goes beyond Whitney
+    forms.  Coefficients on 4-chart nerves are constant, which keeps the
+    spot check affordable."""
+    nerve = NERVES[nerve_name]()
+    maxdeg = 1 if len(nerve.indices) == 3 else 0
+    rng = random.Random(seed)
+    R = param_algebra_truncate(["hbar"], 2)
+    H = ts_normalize(nerve, kind, R)
+    beta = H.zero(1)
+    for q in range(3):
+        beta = beta + whitney(H, q, rand_cochain(rng, nerve, R, kind, q, 1 - q, maxdeg))
+    gauge = whitney(H, 0, rand_cochain(rng, nerve, R, kind, 0, 0, maxdeg)) + whitney(
+        H, 1, rand_cochain(rng, nerve, R, kind, 1, -1, maxdeg)
+    )
+    return gauge_act(gauge, beta)
+
+
+def perturb(element, level, pick, how, c):
+    """Add c (how "shift") or c times the bubble t0*t1*...*t_level, which
+    vanishes on every face of the simplex (how "bubble"), to one stored
+    coefficient at ``level``."""
+    entries = sorted(
+        ((bi, sorted(S), face, repr(pkey)), (bi, (l, S), face, pkey))
+        for bi, payload in element.parts.items()
+        for (l, S), comp in payload.items()
+        if l == level
+        for face, data in comp.items()
+        for pkey in data
+    )
+    bi, key, face, pkey = entries[pick % len(entries)][1]
+    parts = {b: dict(p) for b, p in element.parts.items()}
+    comp = parts[bi][key] = dict(parts[bi][key])
+    data = comp[face] = dict(comp[face])
+    bump = LocalizedPoly.const(data[pkey].chart, c)
+    if how == "bubble":
+        t0 = data[pkey].chart.one()
+        for i in range(1, level + 1):
+            t = data[pkey].chart.var(f"t{i}")
+            t0, bump = t0 - t, bump * t
+        bump = bump * t0
+    data[pkey] = data[pkey] + bump
+    if data[pkey].is_zero():
+        del data[pkey]
+    return DGLAElement(element.carrier, element.algebra, element.degree, parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(CASES),
+    st.integers(0, 2),
+    st.sampled_from(("shift", "bubble")),
+    st.booleans(),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.sampled_from((-2, -1, 1, 2)),
+)
+@example(("polyvec", "shear4"), 0, "bubble", True, 1, 0, 1)
+@example(("polydiff", "simplex4"), 1, "bubble", True, 1, 5, -1)
+@example(("polydiff", "shear3"), 0, "shift", False, 2, 0, 1)
+def test_coface_check_alone_gives_the_full_verdict(case, seed, how, on_top, depth, pick, c):
+    # single-entry perturbations of seeded compatible elements: the spot
+    # check never rejects what the coface conditions accept
+    element = compatible_element(*case, seed)
+    top = element.carrier.levels
+    level = top if on_top else max(top - depth, 0)
+    perturbed = perturb(element, level, pick, how, c)
+    accepted = not rejects(validate_compatibility, perturbed)
+    assert accepted == (not rejects(full_check, perturbed))
+    # a bubble on the top level is invisible to every coface
+    if how == "bubble" and level == top:
+        assert accepted
