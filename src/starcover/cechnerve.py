@@ -246,7 +246,7 @@ def _transport_slotop(rm: RestrictionMap, alpha: Exponent, src_deriv: Sequence[i
     coefficient}.  Composes the pushforward vector fields (they commute)."""
     pos_of = {v: k for k, v in enumerate(tgt_car.deriv_indices)}
     zero = tgt_car.zero_index()
-    cur = {zero: LocalizedPoly.const(rm.target, 1)}
+    cur = {zero: rm.target.one()}
     for pos, k in enumerate(alpha):
         D = rm.deriv_images[src_deriv[pos]]
         for _ in range(k):
@@ -622,9 +622,6 @@ class CechHandle:
     def zero(self, level: int, degree: int) -> DGLAElement:
         return DGLAElement.zero(self.carrier(level), self.algebra, degree)
 
-    def face_map(self, element: DGLAElement, alpha: Sequence[int], target_level: int) -> DGLAElement:
-        return cech_face_map(element, alpha, target_level)
-
 
 # ---------------------------------------------------------------------------
 # refinements
@@ -711,7 +708,7 @@ class LayerSpec:
         for f in self.nerve.faces:
             alg = self.nerve.algebra(f)
             if self.degree_bound < 0:
-                self.bases[f] = [LocalizedPoly.const(alg, 1)]
+                self.bases[f] = [alg.one()]
             else:
                 if alg.denominators:
                     raise NerveError(
@@ -848,9 +845,6 @@ class CechComplex:
                 out[f] = [QQ(0)] * self.layer.dim(f)
             out[f][i] = v
         return out
-
-    def is_zero_class(self, p: int, cocycle: dict) -> bool:
-        return self.coboundary_solve(p, cocycle) is not None
 
 
 def cech_cohomology(nerve: CoverNerve, degree_bound: int = -1) -> CechComplex:

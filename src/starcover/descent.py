@@ -40,10 +40,9 @@ from .cechnerve import (
     NerveError,
     transport_payload,
 )
-from .polyvec import PolyvecCarrier, PoissonStructure, poisson_from_mc
+from .polyvec import PolyvecCarrier, poisson_from_mc
 from .polydiff import (
     PolydiffCarrier,
-    StarProduct,
     apply_cochain,
     monomial_basis,
     star_from_mc,
@@ -102,12 +101,6 @@ class MultDescentDatum:
     locals: dict  # chart face -> MCElement (per-face carrier)
     edge_gauges: dict  # edge face -> degree-0 log
     triple_units: dict  # triangle face -> degree-(-1) log
-
-    def local_structure(self, face: Face):
-        mc = self.locals[face]
-        if self.flavor == "associative":
-            return StarProduct(mc)
-        return PoissonStructure(mc)
 
     def copy(self) -> "MultDescentDatum":
         return MultDescentDatum(

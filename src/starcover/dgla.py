@@ -166,14 +166,6 @@ class DGLAElement:
             {i: x for i, x in self.parts.items() if self.algebra.basis_order(i) == order},
         )
 
-    def truncate_below(self, order: int) -> "DGLAElement":
-        return DGLAElement(
-            self.carrier,
-            self.algebra,
-            self.degree,
-            {i: x for i, x in self.parts.items() if self.algebra.basis_order(i) >= order},
-        )
-
     def map_payload(self, fn, carrier: Optional[Carrier] = None, degree: Optional[int] = None) -> "DGLAElement":
         """Apply a linear payload map componentwise (used for restriction
         transports and carrier changes)."""
@@ -502,10 +494,6 @@ class LInftyMorphism:
     one); symmetry is spot-checked on samples, not enforced."""
 
     components: Sequence[Callable[..., DGLAElement]]
-
-    @property
-    def arity_bound(self) -> int:
-        return len(self.components)
 
     def symmetry_defect(self, i: int, args: Sequence[DGLAElement]) -> DGLAElement:
         """Psi_i(..., a, b, ...) minus the shifted-Koszul transposition of an

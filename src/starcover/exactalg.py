@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
@@ -38,6 +39,10 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+
+
+def _integral(terms: Mapping[Exponent, Fraction]) -> bool:
+    return all(c.denominator == 1 for c in terms.values())
 
 
 def grlex_key(e: Exponent) -> tuple:
@@ -141,12 +146,15 @@ class Poly:
             v = terms.get(e)
             if v is None:
                 terms[e] = c
+                continue
+            if v.denominator == 1 == c.denominator:
+                v = Fraction(v.numerator + c.numerator)
             else:
                 v = v + c
-                if v == 0:
-                    del terms[e]
-                else:
-                    terms[e] = v
+            if v:
+                terms[e] = v
+            else:
+                del terms[e]
         return Poly._raw(self.variables, terms)
 
     def __neg__(self) -> "Poly":
@@ -157,16 +165,31 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_same(other)
+        if _integral(self.terms) and _integral(other.terms):
+            # every denominator is 1: accumulate the numerators as ints and
+            # make one Fraction per surviving term
+            right = [(e2, c2.numerator) for e2, c2 in other.terms.items()]
+            ints: dict[Exponent, int] = {}
+            for e1, c1 in self.terms.items():
+                n1 = c1.numerator
+                for e2, n2 in right:
+                    e = tuple(map(add, e1, e2))
+                    ints[e] = ints.get(e, 0) + n1 * n2
+            return Poly._raw(self.variables, {e: Fraction(n) for e, n in ints.items() if n})
         terms: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 v = terms.get(e)
                 terms[e] = c1 * c2 if v is None else v + c1 * c2
         return Poly._raw(self.variables, {e: c for e, c in terms.items() if c != 0})
 
     def scale(self, c) -> "Poly":
         c = _as_fraction(c)
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         if c == 0:
             return Poly._raw(self.variables, {})
         return Poly._raw(self.variables, {e: c * v for e, v in self.terms.items()})
@@ -228,7 +251,7 @@ class Poly:
         if not images:
             raise AlgebraError("substitution into an empty chart is ambiguous")
         chart = images[0].chart
-        acc = LocalizedPoly.const(chart, 0)
+        acc = chart.zero()
         for e, c in self.terms.items():
             term = LocalizedPoly.const(chart, c)
             for img, k in zip(images, e):
@@ -304,12 +327,16 @@ class ChartAlgebra:
                 raise AlgebraError("denominator over a different variable set")
             if d.is_zero():
                 raise AlgebraError("zero declared as a denominator")
+        # LocalizedPoly is immutable, so one zero and one unit serve every
+        # caller; they are not fields and take no part in equality or hash
+        object.__setattr__(self, "_zero", LocalizedPoly.const(self, 0))
+        object.__setattr__(self, "_one", LocalizedPoly.const(self, 1))
 
     def zero(self) -> "LocalizedPoly":
-        return LocalizedPoly.const(self, 0)
+        return self._zero
 
     def one(self) -> "LocalizedPoly":
-        return LocalizedPoly.const(self, 1)
+        return self._one
 
     def var(self, name: str) -> "LocalizedPoly":
         return LocalizedPoly(self, Poly.var(self.variables, name))
@@ -395,10 +422,6 @@ class LocalizedPoly:
     def const(chart: ChartAlgebra, c) -> "LocalizedPoly":
         return LocalizedPoly(chart, Poly.const(chart.variables, c))
 
-    @staticmethod
-    def from_poly(chart: ChartAlgebra, p: Poly) -> "LocalizedPoly":
-        return LocalizedPoly(chart, p)
-
     # -- structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -444,9 +467,7 @@ class LocalizedPoly:
     def scale(self, c) -> "LocalizedPoly":
         c = _as_fraction(c)
         if c == 0:
-            return LocalizedPoly._raw(
-                self.chart, Poly.zero(self.chart.variables), (0,) * len(self.powers)
-            )
+            return self.chart.zero()
         return LocalizedPoly._raw(self.chart, self.numer.scale(c), self.powers)
 
     def __pow__(self, n: int) -> "LocalizedPoly":

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .exactalg import AlgebraError, ChartAlgebra, LocalizedPoly, Poly
+from .exactalg import AlgebraError, ChartAlgebra, LocalizedPoly
 from .params import ParamAlgebra, ParamSeries, param_algebra_truncate
 from .dgla import DGLAElement, require_mc
 from .polyvec import PolyvecCarrier, merge_odd
@@ -116,11 +116,6 @@ class ExprParser:
         tok = self.peek()
         self.pos += 1
         return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise FormatError(f"expected {op!r}, found {val!r}")
 
     # value assembly -------------------------------------------------------
 
@@ -551,16 +546,23 @@ def load_ts_element(obj: Mapping):
     nerve = load_nerve(obj.get("nerve"))
     handle = ts_normalize(nerve, kind_of(flavor), algebra)
     beta = handle.zero(1)
-    for spec in obj.get("whitney", []):
+    for spec in _spec_list(obj, "whitney"):
         beta = beta + _whitney_from_spec(handle, nerve, flavor, algebra, spec, total_degree=1)
-    for spec in obj.get("components", []):
+    for spec in _spec_list(obj, "components"):
         beta = beta + _raw_ts_component(handle, nerve, flavor, algebra, spec)
     from .dgla import gauge_act
 
-    for spec in obj.get("gauge", []):
+    for spec in _spec_list(obj, "gauge"):
         g = _whitney_from_spec(handle, nerve, flavor, algebra, spec, total_degree=0)
         beta = gauge_act(g, beta)
     return handle, beta
+
+
+def _spec_list(obj: Mapping, key: str) -> list:
+    specs = obj.get(key, [])
+    _require(isinstance(specs, list) and all(isinstance(s, dict) for s in specs),
+             f"ts element: {key} must be a list of objects")
+    return specs
 
 
 def _whitney_from_spec(handle, nerve, flavor, algebra, spec, total_degree):
@@ -569,7 +571,10 @@ def _whitney_from_spec(handle, nerve, flavor, algebra, spec, total_degree):
     internal = total_degree - q
     car = CechCarrier(nerve, kind_of(flavor), q, 0)
     parts: dict = {}
-    for label, text in sorted((spec.get("values") or {}).items()):
+    values = spec.get("values") or {}
+    _require(isinstance(values, dict) and all(isinstance(t, str) for t in values.values()),
+             "whitney spec values must map faces to expression strings")
+    for label, text in sorted(values.items()):
         face = _face_of(label, nerve.indices)
         _require(len(face) == q + 1, f"whitney value face {label!r} has level != q")
         ctx = _datum_ctx(nerve, flavor, algebra, face)
@@ -584,11 +589,16 @@ def _whitney_from_spec(handle, nerve, flavor, algebra, spec, total_degree):
 
 def _raw_ts_component(handle, nerve, flavor, algebra, spec):
     level = spec.get("level")
-    dts = frozenset(spec.get("dts", []))
+    dts = spec.get("dts", [])
     label = spec.get("face")
     text = spec.get("value")
     _require(isinstance(level, int) and 0 <= level <= nerve.max_level(),
              "ts component needs a level between 0 and the nerve's top level")
+    _require(isinstance(label, str), "ts component needs a face label string")
+    _require(isinstance(dts, list) and all(isinstance(t, int) for t in dts),
+             "ts component dts must be a list of integers")
+    _require(isinstance(text, str), "ts component needs a value string")
+    dts = frozenset(dts)
     face = _face_of(label, nerve.indices)
     _require(len(face) == level + 1, f"ts component face {label!r} has level != {level}")
     _require(dts <= frozenset(range(1, level + 1)), f"ts component dts must lie in 1..{level}")

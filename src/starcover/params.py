@@ -191,13 +191,6 @@ class ParamSeries:
             return INFINITY
         return min(self.algebra.basis_order(i) for i in self.coeffs)
 
-    def truncate_below(self, order: int) -> "ParamSeries":
-        """Keep only the part of adic order >= order."""
-        return ParamSeries(
-            self.algebra,
-            {i: c for i, c in self.coeffs.items() if self.algebra.basis_order(i) >= order},
-        )
-
     def graded_part(self, order: int) -> "ParamSeries":
         return ParamSeries(
             self.algebra,

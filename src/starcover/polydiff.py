@@ -191,11 +191,13 @@ class PolydiffCarrier(Carrier):
     # -- derivatives and evaluation -------------------------------------------
 
     def deriv(self, c: LocalizedPoly, alpha: Exponent) -> LocalizedPoly:
+        if not any(alpha):
+            return c
         if not any(c.powers):
             # closed form on polynomials: falling factorials per monomial
             terms: dict = {}
             for e, q in c.numer.terms.items():
-                coeff = q
+                factor = 1
                 e2 = list(e)
                 dead = False
                 for pos, k in enumerate(alpha):
@@ -207,10 +209,11 @@ class PolydiffCarrier(Carrier):
                         dead = True
                         break
                     for t in range(k):
-                        coeff *= m - t
+                        factor *= m - t
                     e2[var] = m - k
-                if dead or coeff == 0:
+                if dead:
                     continue
+                coeff = q * factor
                 key = tuple(e2)
                 v = terms.get(key)
                 terms[key] = coeff if v is None else v + coeff
@@ -240,21 +243,20 @@ class PolydiffCarrier(Carrier):
 
     # -- Gerstenhaber structure -----------------------------------------------
 
-    def compose_at(self, x: DiffPayload, y: DiffPayload, i: int, q: int) -> DiffPayload:
-        """x o_i y: insert y into slot i of x, expanding the slot derivative
-        over y's coefficient and arguments by the generalized Leibniz rule."""
+    def compose_at(self, x: DiffPayload, y: DiffPayload, i: int, sign: int) -> DiffPayload:
+        """sign * (x o_i y): insert y into slot i of x, expanding the slot
+        derivative over y's coefficient and arguments by the generalized
+        Leibniz rule.  The sign joins the multinomial weight of each term."""
         out: DiffPayload = {}
         for xs, f in x.items():
             alpha = xs[i]
             for ys, g in y.items():
-                leading = {}  # first part -> f times that derivative of g
+                signed = {}  # (first part, weight) -> sign * weight * f * d^(first part) g
                 for parts, w in _splittings(alpha, 1 + len(ys)):
                     kappa_c, kappa_args = parts[0], parts[1:]
-                    coeff = leading.get(kappa_c)
+                    coeff = signed.get((kappa_c, w))
                     if coeff is None:
-                        coeff = leading[kappa_c] = f * self.deriv(g, kappa_c)
-                    if w != 1:
-                        coeff = coeff.scale(w)
+                        coeff = signed[(kappa_c, w)] = (f * self.deriv(g, kappa_c)).scale(w * sign)
                     if coeff.is_zero():
                         continue
                     mid = tuple(_multi_add(s, k) for s, k in zip(ys, kappa_args))
@@ -262,18 +264,16 @@ class PolydiffCarrier(Carrier):
                     out[slots] = out[slots] + coeff if slots in out else coeff
         return self._clean(out)
 
-    def circ(self, x: DiffPayload, y: DiffPayload, p: int, q: int) -> DiffPayload:
+    def circ(self, x: DiffPayload, y: DiffPayload, p: int, q: int, sign: int) -> DiffPayload:
+        """sign * (x o y), the Koszul-signed sum of the x o_i y."""
         out: DiffPayload = {}
         for i in range(p + 1):
-            sign = (-1) ** (i * q)
-            piece = self.compose_at(x, y, i, q)
-            out = self.add(out, self.scale(QQ(sign), piece))
+            out = self.add(out, self.compose_at(x, y, i, -sign if i * q % 2 else sign))
         return out
 
     def bracket(self, x: DiffPayload, y: DiffPayload, dx: int, dy: int) -> DiffPayload:
-        a = self.circ(x, y, dx, dy)
-        b = self.circ(y, x, dy, dx)
-        return self.add(a, self.scale(QQ(-((-1) ** (dx * dy))), b))
+        # [x, y] = x o y - (-1)^(dx dy) y o x
+        return self.add(self.circ(x, y, dx, dy, 1), self.circ(y, x, dy, dx, 1 if dx * dy % 2 else -1))
 
     def d(self, x: DiffPayload, degree: int) -> DiffPayload:
         out = self.bracket(self.mu0(), x, 1, degree)
@@ -330,14 +330,15 @@ def module_mul(u: DGLAElement, v: DGLAElement) -> DGLAElement:
     """Commutative product of two degree -1 elements of R (x) C."""
     car = u.carrier
     alg = u.algebra
+    zero = car.chart.zero()
     parts: dict = {}
     for i, xu in u.parts.items():
-        cu = xu.get((), car.chart.zero())
+        cu = xu.get((), zero)
         for j, xv in v.parts.items():
             k = alg.mul_index(i, j)
             if k is None:
                 continue
-            val = cu * xv.get((), car.chart.zero())
+            val = cu * xv.get((), zero)
             pay = car.from_coeff(val)
             parts[k] = car.add(parts[k], pay) if k in parts else pay
     return DGLAElement(car, alg, -1, parts)
@@ -350,6 +351,7 @@ def apply_cochain(op: DGLAElement, args: Sequence[DGLAElement]) -> DGLAElement:
     alg = op.algebra
     if len(args) != op.degree + 1:
         raise AlgebraError("argument count does not match the degree")
+    zero = car.chart.zero()
     parts: dict = {}
     for i, payload in op.parts.items():
         # distribute over the basis expansions of every argument
@@ -364,7 +366,7 @@ def apply_cochain(op: DGLAElement, args: Sequence[DGLAElement]) -> DGLAElement:
                     dead = True
                     break
                 k = k2
-                vals.append(xa.get((), car.chart.zero()))
+                vals.append(xa.get((), zero))
             if dead:
                 continue
             val = car.evaluate(payload, vals)
@@ -752,9 +754,10 @@ def _solve_gauge_from_table(star, star2, g_table):
     exponential reproduces the table, then hand back the fitted logarithm
     when it carries ``star`` to ``star2``."""
     car = star.carrier
+    zero = car.chart.zero()
     max_deg = max(
         (c.numer.total_degree() for v in g_table.values() for p in v.parts.values()
-         for c in [p.get((), car.chart.zero())] if not c.is_zero()),
+         for c in [p.get((), zero)] if not c.is_zero()),
         default=1,
     )
     max_slot = max(max(map(sum, g_table.keys()), default=1), 1)
@@ -779,6 +782,7 @@ def fit_gauge_to_action(
     like ``action`` on the given monomials (keys are exponent tuples)."""
     car = star.carrier
     alg = star.algebra
+    zero = car.chart.zero()
     gamma = DGLAElement.zero(car, alg, 0)
     op = lambda g, u: exp_series(lambda t: apply_cochain(g, [t]), u)
     cands = []
@@ -793,7 +797,7 @@ def fit_gauge_to_action(
             src = _basis_function(car, alg, ((), key))
             defect = (target - op(gamma, src)).graded_part(p)
             for i, payload in defect.parts.items():
-                c = payload.get((), car.chart.zero())
+                c = payload.get((), zero)
                 for mono, q in c.numer.terms.items():
                     rows.add((key, i, c.powers, mono))
                     system.add_rhs((key, i, c.powers, mono), q)

@@ -68,10 +68,6 @@ class PolyvecCarrier(Carrier):
     def __hash__(self):
         return hash((self.chart, self.deriv_indices))
 
-    @property
-    def max_degree(self) -> int:
-        return len(self.deriv_indices) - 1
-
     # -- payload basics ----------------------------------------------------
 
     def zero(self) -> VecPayload:
@@ -119,11 +115,10 @@ class PolyvecCarrier(Carrier):
     def bracket(self, x: VecPayload, y: VecPayload, dx: int, dy: int) -> VecPayload:
         out: VecPayload = {}
 
-        def accumulate(key, coeff):
-            if key in out:
-                out[key] = out[key] + coeff
-            else:
-                out[key] = coeff
+        def accumulate(key, coeff, sign):
+            if sign < 0:
+                coeff = -coeff
+            out[key] = out[key] + coeff if key in out else coeff
 
         for ks, f in x.items():
             s = len(ks)
@@ -138,7 +133,7 @@ class PolyvecCarrier(Carrier):
                     if merged is None:
                         continue
                     key, sign = merged
-                    accumulate(key, (f * dg).scale(sign_r * sign))
+                    accumulate(key, f * dg, sign_r * sign)
                 # term 2: d/dx of x against left theta-derivative of y
                 for pos, i in enumerate(kt):
                     sign_l = (-1) ** pos
@@ -149,7 +144,7 @@ class PolyvecCarrier(Carrier):
                     if merged is None:
                         continue
                     key, sign = merged
-                    accumulate(key, (df * g).scale(-sign_l * sign))
+                    accumulate(key, df * g, -sign_l * sign)
         return self._clean(out)
 
     # -- construction and evaluation -----------------------------------------
@@ -261,6 +256,7 @@ class PoissonStructure:
         b = self.beta.element
         car = self.carrier
         alg = self.algebra
+        zero = car.chart.zero()
         parts: dict = {}
         for i, biv in b.parts.items():
             for j, uc in u.parts.items():
@@ -271,7 +267,7 @@ class PoissonStructure:
                     ijk = alg.mul_index(ij, k)
                     if ijk is None:
                         continue
-                    val = car.wedge_eval(biv, uc.get((), car.chart.zero()), vc.get((), car.chart.zero()))
+                    val = car.wedge_eval(biv, uc.get((), zero), vc.get((), zero))
                     pay = car.from_coeff(val)
                     parts[ijk] = car.add(parts[ijk], pay) if ijk in parts else pay
         return DGLAElement(car, alg, -1, parts)

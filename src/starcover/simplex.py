@@ -77,12 +77,6 @@ class SimplexForm:
     def is_zero(self) -> bool:
         return not self.parts
 
-    def form_degrees(self) -> set[int]:
-        return {len(S) for S in self.parts}
-
-    def homogeneous_part(self, r: int) -> "SimplexForm":
-        return SimplexForm(self.q, {S: f for S, f in self.parts.items() if len(S) == r})
-
     def __add__(self, other: "SimplexForm") -> "SimplexForm":
         if self.q != other.q:
             raise AlgebraError("forms on different simplices")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starcover import AlgebraError, ChartAlgebra, LocalizedPoly, Poly, solve_linear
 from starcover.exactalg import ExactSystem, matvec
@@ -96,6 +96,72 @@ def test_ring_axioms_hypothesis(a, b, c):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert p * q == q * p
+
+
+def reference_mul(p, q):
+    """The generic Fraction loop of Poly.__mul__, kept as the oracle of its
+    integer fast path: terms in the order the loop first meets them."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            v = terms.get(e)
+            terms[e] = c1 * c2 if v is None else v + c1 * c2
+    return [(e, c) for e, c in terms.items() if c != 0]
+
+
+def reference_add(p, q):
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        v = terms.get(e)
+        if v is None:
+            terms[e] = c
+        elif v + c == 0:
+            del terms[e]
+        else:
+            terms[e] = v + c
+    return list(terms.items())
+
+
+@st.composite
+def polys(draw):
+    """A Poly over Q[x, y]: integral coefficients, or denominators up to 3."""
+    den = st.just(1) if draw(st.booleans()) else st.sampled_from([1, 2, 3])
+    coeff = st.builds(Fraction, st.integers(-4, 4), den)
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return Poly(XY, draw(st.dictionaries(exps, coeff, max_size=4)))
+
+
+# (x + y)(x - y), integral, and (x/2 + y)(x/2 - y), mixed: the cross terms
+# cancel; and a product with zero
+@example(P({(1, 0): 1, (0, 1): 1}), P({(1, 0): 1, (0, 1): -1}))
+@example(P({(1, 0): Fraction(1, 2), (0, 1): 1}), P({(1, 0): Fraction(1, 2), (0, 1): -1}))
+@example(P({(1, 0): 3}), P({}))
+@settings(max_examples=300, deadline=None)
+@given(polys(), polys())
+def test_kernel_fast_paths_match_the_fraction_loop(p, q):
+    for got, want in ((p * q, reference_mul(p, q)), (p + q, reference_add(p, q))):
+        assert list(got.terms.items()) == want
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys())
+def test_scale_by_one_minus_one_and_zero(p):
+    assert p.scale(1) is p and p.scale(Fraction(1)) is p
+    assert p.scale(-1) == -p and list(p.scale(-1).terms) == list(p.terms)
+    assert p.scale(0).is_zero() and p.scale(Fraction(0)).is_zero()
+    assert p.scale(Fraction(-1)) + p == Poly.zero(XY)
+    with pytest.raises(TypeError):
+        p.scale(1.0)
+
+
+def test_chart_zero_and_one_are_shared_constants():
+    C = ChartAlgebra(XY, (Poly.var(XY, "x"),))
+    assert C.zero() is C.zero() and C.one() is C.one()
+    assert C.zero().is_zero() and C.one() == LocalizedPoly.const(C, 1)
+    twin = ChartAlgebra(XY, (Poly.var(XY, "x"),))
+    assert twin == C and hash(twin) == hash(C) and twin.zero() is not C.zero()
 
 
 def test_ring_axioms_randomized(rng):

@@ -279,6 +279,31 @@ def test_cli_int_mc_malformed_component(tmp_path, capsys, component):
     assert capsys.readouterr().err.startswith("input error: ts component")
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj["whitney"].append(5), "ts element: whitney must be a list of objects"),
+        (lambda obj: obj["whitney"][0]["values"].update(U0=5), "whitney spec values must map"),
+        (lambda obj: obj.update(gauge=obj["gauge"][0]), "ts element: gauge must be a list of objects"),
+        (lambda obj: obj.update(components=[{"level": 0, "dts": [], "face": 0, "value": "hbar^2 * x"}]),
+         "ts component needs a face label string"),
+        (lambda obj: obj.update(components=[{"level": 1, "dts": 1, "face": "U0,U1", "value": "hbar^2 * x"}]),
+         "ts component dts must be a list of integers"),
+        (lambda obj: obj.update(components=[{"level": 0, "dts": [], "face": "U0"}]),
+         "ts component needs a value string"),
+    ],
+    ids=["whitney-entry-not-object", "whitney-value-not-string", "gauge-object",
+         "face-not-string", "dts-not-list", "no-value"],
+)
+def test_cli_int_mc_mistyped_ts_input(tmp_path, capsys, edit, message):
+    obj = json.loads((DATA / "ts-pipeline.json").read_text(encoding="utf-8"))
+    edit(obj)
+    path = tmp_path / "ts.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["int-mc", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
 def test_cli_exp_add_int_mc_pipeline(tmp_path, rng):
     nerve = simplex_nerve(3)
     ts_obj = {
