@@ -118,7 +118,6 @@ class RestrictionMap:
         if self.target != then.source:
             raise NerveError("restriction maps do not compose")
         images = tuple(then.apply_scalar(img) for img in self.var_images)
-        tcar = PolyvecCarrier(then.target)
         derivs = tuple(
             _transport_polyvec(then, pay) for pay in self.deriv_images
         )
@@ -132,13 +131,10 @@ class RestrictionMap:
         car = PolyvecCarrier(self.target)
         return all(car.eq(a, b) for a, b in zip(self.deriv_images, other.deriv_images))
 
-    def extended(self, tdim: int, cache: Optional[dict] = None) -> "RestrictionMap":
+    def extended(self, tdim: int) -> "RestrictionMap":
         """The same map between t-extended charts (simplex coordinates inert)."""
-        key = ("ext", id(self), tdim)
         src = extend_chart(self.source, tdim)
         tgt = extend_chart(self.target, tdim)
-        n_src = len(self.source.variables)
-        n_tgt = len(self.target.variables)
         images = [
             _lift_localized(img, self.target, tgt) for img in self.var_images
         ]

@@ -165,6 +165,16 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_same(other)
+        if len(other.terms) == 1 or len(self.terms) == 1:
+            # a one-term factor shifts the other's exponents injectively: no
+            # sums, no zeros, and the terms in the generic loop's order
+            many, one = (self, other) if len(other.terms) == 1 else (other, self)
+            (e2, c2), = one.terms.items()
+            if not any(e2):
+                return Poly._raw(self.variables, {e: c * c2 for e, c in many.terms.items()})
+            return Poly._raw(
+                self.variables, {tuple(map(add, e, e2)): c * c2 for e, c in many.terms.items()}
+            )
         if _integral(self.terms) and _integral(other.terms):
             # every denominator is 1: accumulate the numerators as ints and
             # make one Fraction per surviving term

@@ -509,6 +509,8 @@ def load_descent(obj: Mapping):
     data = []
     for level, key in enumerate(keys):
         section = obj.get(key) or {}
+        _require(isinstance(section, dict) and all(isinstance(t, str) for t in section.values()),
+                 f"{key} must map faces to expression strings")
         out = {}
         degree = 1 if level == 0 else (0 if level == 1 else -1)
         for label, text in sorted(section.items()):

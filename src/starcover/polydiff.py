@@ -7,12 +7,13 @@ A degree-p payload is a map {(p+1)-tuple of derivative multi-indices ->
 LocalizedPoly}; multi-index position k differentiates the chart variable
 ``deriv_indices[k]``.  Degree -1 payloads are coefficients keyed by ().
 Normalization (every slot multi-index nonzero for p >= 0) is the public
-invariant; the multiplication 2-cochain used internally by the differential
-is the one deliberate exception and never escapes.
+invariant.
 
-The differential is d := [mu0, -] with the Gerstenhaber bracket, so that
-Maurer-Cartan for beta is *identically* the associativity of
-c1 * c2 + beta(c1, c2).
+The differential is d := [mu0, -] with the Gerstenhaber bracket and the
+multiplication 2-cochain mu0, so that Maurer-Cartan for beta is
+*identically* the associativity of c1 * c2 + beta(c1, c2).  It is computed
+directly from the inner faces (``PolydiffCarrier.d``); the bracket route
+stays in the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .dgla import (
     exp_series,
     gauge_act,
     mc_check,
-    mc_residue,
     require_mc,
 )
 from .params import ParamAlgebra
@@ -183,11 +183,6 @@ class PolydiffCarrier(Carrier):
             return {}
         return {slots: coeff}
 
-    def mu0(self) -> DiffPayload:
-        # the multiplication 2-cochain; intentionally un-normalized, internal
-        z = self.zero_index()
-        return {(z, z): self.chart.one()}
-
     # -- derivatives and evaluation -------------------------------------------
 
     def deriv(self, c: LocalizedPoly, alpha: Exponent) -> LocalizedPoly:
@@ -230,15 +225,22 @@ class PolydiffCarrier(Carrier):
 
     def evaluate(self, x: DiffPayload, args: Sequence[LocalizedPoly]) -> LocalizedPoly:
         out = self.chart.zero()
+        derivs: dict = {}  # (argument position, multi-index) -> slot derivative
         for slots, f in x.items():
             if len(slots) != len(args):
                 raise AlgebraError("argument count does not match the degree")
-            term = f
-            for a, c in zip(slots, args):
-                term = term * self.deriv(c, a)
-                if term.is_zero():
-                    break
-            out = out + term
+            factors = []
+            for pos, a in enumerate(slots):
+                da = derivs.get((pos, a))
+                if da is None:
+                    da = derivs[pos, a] = self.deriv(args[pos], a)
+                if da.is_zero():
+                    break  # the term vanishes: multiply nothing
+                factors.append(da)
+            else:
+                for da in factors:
+                    f = f * da
+                out = out + f
         return out
 
     # -- Gerstenhaber structure -----------------------------------------------
@@ -276,10 +278,29 @@ class PolydiffCarrier(Carrier):
         return self.add(self.circ(x, y, dx, dy, 1), self.circ(y, x, dy, dx, 1 if dx * dy % 2 else -1))
 
     def d(self, x: DiffPayload, degree: int) -> DiffPayload:
-        out = self.bracket(self.mu0(), x, 1, degree)
-        # the zero-slot boundary terms cancel exactly; keep the guard
-        if not self.is_normalized(out):
-            raise AlgebraError("hochschild differential left the normalized complex")
+        """[mu0, x] from the inner faces alone: face i splits slot alpha_i
+        into (beta, alpha_i - beta), both nonzero, with weight
+        binom(alpha_i, beta) and sign (-1)^(p+i+1).  The outer faces of the
+        bracket, each with a zero slot, cancel on normalized cochains.  Faces
+        are added in order with the bracket's add-and-clean steps, so keys
+        and terms come out in the bracket's order."""
+        if not self.is_normalized(x):
+            raise AlgebraError("the hochschild differential needs a normalized cochain")
+        out: DiffPayload = {}
+        for i in range(degree + 1):
+            sign = 1 if (degree + i) % 2 else -1
+            face: DiffPayload = {}
+            for xs, f in x.items():
+                scaled = {}  # weight -> sign * weight * f
+                for (beta, gamma), w in _splittings(xs[i], 2):
+                    if not any(beta) or not any(gamma):
+                        continue
+                    coeff = scaled.get(w)
+                    if coeff is None:
+                        coeff = scaled[w] = f.scale(w * sign)
+                    slots = xs[:i] + (beta, gamma) + xs[i + 1 :]
+                    face[slots] = face[slots] + coeff if slots in face else coeff
+            out = self.add(out, face)
         return out
 
     def render(self, x: DiffPayload, degree: int) -> str:
@@ -620,7 +641,8 @@ def hkr(gamma: DGLAElement, car_out: Optional[PolydiffCarrier] = None) -> DGLAEl
 
 def _coeff_blocks(car: PolydiffCarrier, payload: DiffPayload):
     """Split a payload into blocks keyed by (denominator powers, numerator
-    monomial); d acts blockwise because mu0 has constant coefficient."""
+    monomial); d acts blockwise because it never differentiates a
+    coefficient."""
     blocks: dict = {}
     for slots, c in payload.items():
         for mono, q in c.numer.terms.items():
@@ -654,8 +676,8 @@ def solve_d_equation(
     blocks = _coeff_blocks(car, rhs)
     nslots = target_degree + 1
     solution: DiffPayload = {}
-    # d = [mu0, -] never differentiates the coefficient (mu0's is constant),
-    # so d(coeff (x) cand) = coeff d(1 (x) cand): one d per candidate serves
+    # d only splits slots and scales coefficients by integers, so
+    # d(coeff (x) cand) = coeff d(1 (x) cand): one d per candidate serves
     # every block
     one = car.chart.one()
     unit_images: dict = {}  # cand -> {image slots: rational}
@@ -851,23 +873,21 @@ def quantize_affine_order2(structure: pv.PoissonStructure, cert_degree: int = 4)
         return star_from_mc(require_mc(beta), cert_degree)
     beta = hkr(beta_pi, car)
     while True:
-        res = mc_residue(beta)
-        if res.is_zero():
+        mc = mc_check(beta)
+        if isinstance(mc, MCElement):
             break
-        order = int(res.adic_order())
-        layer = res.graded_part(order)
         parts = {}
-        for i, payload in layer.parts.items():
+        for i, payload in mc.residue.parts.items():
             v = solve_d_equation(car, payload, 1)
             if v is None:
                 raise AlgebraError(
-                    f"order-{order} associativity system inconsistent: "
+                    f"order-{mc.order} associativity system inconsistent: "
                     "the input bivector fails Jacobi"
                 )
             if v:
                 parts[i] = v
         beta = beta - DGLAElement(car, alg, 1, parts)
-    return star_from_mc(require_mc(beta), cert_degree)
+    return star_from_mc(mc, cert_degree)
 
 
 def _is_constant_bivector(beta: DGLAElement) -> bool:

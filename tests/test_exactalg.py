@@ -133,10 +133,16 @@ def polys(draw):
 
 
 # (x + y)(x - y), integral, and (x/2 + y)(x/2 - y), mixed: the cross terms
-# cancel; and a product with zero
+# cancel; a product with zero; and one-term factors on either side, a unit
+# constant, an integral and a fractional monomial
 @example(P({(1, 0): 1, (0, 1): 1}), P({(1, 0): 1, (0, 1): -1}))
 @example(P({(1, 0): Fraction(1, 2), (0, 1): 1}), P({(1, 0): Fraction(1, 2), (0, 1): -1}))
 @example(P({(1, 0): 3}), P({}))
+@example(P({(2, 0): 1, (0, 1): -3, (1, 1): 2}), P({(0, 0): 1}))
+@example(P({(0, 0): 1}), P({(2, 0): Fraction(1, 2), (0, 1): -3}))
+@example(P({(1, 1): -2}), P({(2, 0): 1, (0, 0): 4, (0, 1): 3}))
+@example(P({(2, 0): Fraction(2, 3), (0, 1): -1}), P({(0, 2): Fraction(-3, 4)}))
+@example(P({(1, 0): Fraction(1, 2)}), P({(0, 1): 2}))
 @settings(max_examples=300, deadline=None)
 @given(polys(), polys())
 def test_kernel_fast_paths_match_the_fraction_loop(p, q):

@@ -304,6 +304,42 @@ def test_cli_int_mc_mistyped_ts_input(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err.startswith(f"input error: {message}")
 
 
+def _octahedron_datum(kind):
+    """scripts/data/octahedron-hbar.json as mdd data, or its triple defect
+    as additive data."""
+    obj = json.loads((DATA / "octahedron-hbar.json").read_text(encoding="utf-8"))
+    if kind == "add":
+        for key in ("locals", "edges", "triples"):
+            obj.pop(key)
+        obj.update(kind="add", delta2={"U0,U2,U4": "hbar * 1"})
+    return obj
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("mdd", "locals"), ("mdd", "edges"), ("mdd", "triples"),
+     ("add", "delta0"), ("add", "delta1"), ("add", "delta2")],
+)
+@pytest.mark.parametrize("section", [[1], {"U0,U2,U4": 1}], ids=["list", "int-value"])
+def test_cli_mistyped_descent_section(tmp_path, capsys, kind, key, section):
+    obj = _octahedron_datum(kind)
+    obj[key] = section
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main([f"check-{kind}", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"input error: {key} must map faces to expression strings"
+    )
+
+
+@pytest.mark.parametrize("kind", ["mdd", "add"])
+def test_cli_octahedron_datum_of_either_kind_loads(tmp_path, kind):
+    # the unedited bases of the mistyped-section cases are valid input
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(_octahedron_datum(kind)), encoding="utf-8")
+    assert _run([f"check-{kind}", str(path)])[0] == 0
+
+
 def test_cli_exp_add_int_mc_pipeline(tmp_path, rng):
     nerve = simplex_nerve(3)
     ts_obj = {

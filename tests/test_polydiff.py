@@ -168,6 +168,18 @@ def reference_bracket(car, x, y, dx, dy):
     return car.add(reference_circ(car, x, y, dx, dy), car.scale(Fraction(-((-1) ** (dx * dy))), b))
 
 
+def mu0(car):
+    """The multiplication 2-cochain, un-normalized: d is [mu0, -]."""
+    z = (0,) * car.nderiv
+    return {(z, z): car.chart.one()}
+
+
+def reference_d(car, x, degree):
+    out = reference_bracket(car, mu0(car), x, 1, degree)
+    assert car.is_normalized(out)  # the outer faces cancel
+    return out
+
+
 # every degree pair the brackets benchmark workload brackets, from its triples
 # (X, Y, Z): antisymmetry, Jacobi and Leibniz
 BRACKET_PAIRS = sorted({
@@ -177,9 +189,9 @@ BRACKET_PAIRS = sorted({
 })
 
 
-def _seeded_payload(rng, car, degree):
+def _seeded_payload(rng, car, degree, max_slot=2):
     """Integral and fractional coefficients; over CX divided by x^0..x^2."""
-    pay = rand_polydiff_payload(rng, car, degree)
+    pay = rand_polydiff_payload(rng, car, degree, max_slot)
     out = {}
     for slots, c in pay.items():
         c = c.scale(rng.choice([Fraction(1), Fraction(1), Fraction(-1, 2), Fraction(2, 3)]))
@@ -191,7 +203,7 @@ def _same_payload(got, want):
     assert list(got) == list(want)  # key order too: it feeds later column order
     for k in want:
         assert got[k] == want[k] and got[k].powers == want[k].powers
-        assert got[k].numer.terms == want[k].numer.terms
+        assert list(got[k].numer.terms.items()) == list(want[k].numer.terms.items())
 
 
 @pytest.mark.parametrize("dx, dy", BRACKET_PAIRS)
@@ -203,7 +215,87 @@ def test_gerstenhaber_and_d_match_the_reference_route(dx, dy, seed):
         car = PolydiffCarrier(chart)
         x, y = _seeded_payload(rng, car, dx), _seeded_payload(rng, car, dy)
         _same_payload(car.bracket(x, y, dx, dy), reference_bracket(car, x, y, dx, dy))
-        _same_payload(car.d(x, dx), reference_bracket(car, car.mu0(), x, 1, dx))
+        # d on slot weights up to 4, degrees -1 to 3
+        x = _seeded_payload(rng, car, dx, max_slot=4)
+        _same_payload(car.d(x, dx), reference_d(car, x, dx))
+
+
+# degree 2: the key d[1,0]^4 comes from face 0 (-2), face 1 (+2), where it
+# cancels and leaves, and face 2 (-2), where it comes back last
+CANCEL_AND_RETURN = {
+    ((2, 0), (1, 0), (1, 0)): 1,
+    ((1, 0), (2, 0), (1, 0)): 1,
+    ((0, 1), (1, 1), (0, 1)): 3,
+    ((1, 0), (1, 0), (2, 0)): 1,
+}
+
+
+@pytest.mark.parametrize("chart", [C2, CX], ids=["polynomial", "localized"])
+def test_d_keeps_the_order_of_a_key_that_cancels_and_returns(chart):
+    car = PolydiffCarrier(chart)
+    x = {slots: LocalizedPoly.const(chart, c) for slots, c in CANCEL_AND_RETURN.items()}
+    got = car.d(x, 2)
+    assert list(got)[-1] == ((1, 0),) * 4
+    _same_payload(got, reference_d(car, x, 2))
+
+
+def test_d_rejects_unnormalized_cochains():
+    car = PolydiffCarrier(C2)
+    for x, degree in ((mu0(car), 1), ({((0, 0), (1, 0)): C2.one()}, 1), ({((0, 0),): C2.one()}, 0)):
+        with pytest.raises(AlgebraError):
+            car.d(x, degree)
+
+
+def test_d_calls_neither_the_bracket_nor_compose_at(monkeypatch, rng):
+    calls = []
+    for name in ("compose_at", "circ", "bracket"):
+        original = getattr(PolydiffCarrier, name)
+        monkeypatch.setattr(
+            PolydiffCarrier, name,
+            lambda self, *a, _name=name, _f=original: calls.append(_name) or _f(self, *a),
+        )
+    for chart in (C2, CX):
+        car = PolydiffCarrier(chart)
+        for degree in (-1, 0, 1, 2, 3):
+            car.d(_seeded_payload(rng, car, degree, max_slot=4), degree)
+    R = param_algebra_truncate(["hbar"], 2)
+    hochschild_d(rand_element(rng, PolydiffCarrier(C2), R, 1, kind="polydiff"))
+    assert calls == []
+    # the counter is live: a bracket goes through compose_at
+    car = PolydiffCarrier(C2)
+    car.bracket(car.term(((1, 0),), C2.one()), car.term(((0, 1),), C2.var("x")), 0, 0)
+    assert "compose_at" in calls
+
+
+def reference_evaluate(car, x, args):
+    """Cochain evaluation as it was: multiply in each slot derivative, then
+    test the running product for zero."""
+    out = car.chart.zero()
+    for slots, f in x.items():
+        term = f
+        for a, c in zip(slots, args):
+            term = term * car.deriv(c, a)
+            if term.is_zero():
+                break
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("chart", [C2, CX], ids=["polynomial", "localized"])
+@pytest.mark.parametrize("degree", [-1, 0, 1, 2])
+def test_evaluate_matches_the_multiply_then_test_loop(chart, degree, rng):
+    # arguments of degree <= 2 against slot weights up to 3: many slot
+    # derivatives vanish, some in a later slot after a nonzero one
+    car = PolydiffCarrier(chart)
+    vanished = 0
+    for _ in range(40):
+        x = _seeded_payload(rng, car, degree, max_slot=3)
+        args = [_seeded_payload(rng, car, -1).get((), chart.zero()) for _ in range(degree + 1)]
+        got, want = car.evaluate(x, args), reference_evaluate(car, x, args)
+        assert got == want and got.powers == want.powers
+        assert list(got.numer.terms.items()) == list(want.numer.terms.items())
+        vanished += any(car.deriv(c, a).is_zero() for slots in x for a, c in zip(slots, args))
+    assert degree == -1 or vanished >= 10
 
 
 def test_moyal_star_values():
