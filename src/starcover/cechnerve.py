@@ -29,7 +29,7 @@ from .exactalg import (
     Poly,
     QQ,
 )
-from .dgla import Carrier, DGLAElement
+from .dgla import Carrier, DGLAElement, NestedCarrier
 from .params import ParamAlgebra
 from .polyvec import PolyvecCarrier, merge_odd
 from .polydiff import PolydiffCarrier
@@ -467,7 +467,7 @@ def constant_nerve(indices: Sequence[str], faces: Sequence[Sequence[int]]) -> Co
 # ---------------------------------------------------------------------------
 
 
-class CechCarrier(Carrier):
+class CechCarrier(NestedCarrier):
     """Level-p component of the ordered Cech construction: the product over
     present p-faces of the face DG Lie algebras (polyvec or polydiff),
     optionally over t-extended charts (Thom-Sullivan use)."""
@@ -500,33 +500,11 @@ class CechCarrier(Carrier):
     def __hash__(self):
         return hash((self.nerve, self.kind, self.level, self.tdim))
 
-    def zero(self):
-        return {}
-
-    def is_zero(self, x) -> bool:
-        return not x
-
-    def eq(self, x, y) -> bool:
-        for f in set(x) | set(y):
-            car = self.face_carriers[f]
-            if not car.eq(x.get(f, car.zero()), y.get(f, car.zero())):
-                return False
-        return True
-
-    def add(self, x, y):
-        out = dict(x)
-        for f, v in y.items():
-            car = self.face_carriers[f]
-            out[f] = car.add(out[f], v) if f in out else v
-        return {f: v for f, v in out.items() if not self.face_carriers[f].is_zero(v)}
-
-    def scale(self, c: Fraction, x):
-        out = {f: self.face_carriers[f].scale(c, v) for f, v in x.items()}
-        return {f: v for f, v in out.items() if not self.face_carriers[f].is_zero(v)}
+    def inner(self, face: Face) -> Carrier:
+        return self.face_carriers[face]
 
     def d(self, x, degree: int):
-        out = {f: self.face_carriers[f].d(v, degree) for f, v in x.items()}
-        return {f: v for f, v in out.items() if not self.face_carriers[f].is_zero(v)}
+        return self._clean({f: self.face_carriers[f].d(v, degree) for f, v in x.items()})
 
     def bracket(self, x, y, dx: int, dy: int):
         out = {}
@@ -566,10 +544,8 @@ def transport_payload(nerve: CoverNerve, kind: str, f: Face, g: Face, payload, t
 def cech_face_map(
     element: DGLAElement, alpha: Sequence[int], target_level: int
 ) -> DGLAElement:
-    """g(alpha): level p -> level q for order-preserving alpha: [p] -> [q].
-
-    Component at a present q-face tau is the transport of the component at
-    the support of tau o alpha."""
+    """g(alpha): level p -> level q for order-preserving alpha: [p] -> [q],
+    applied to every payload by push_payload."""
     car = element.carrier
     if not isinstance(car, CechCarrier):
         raise NerveError("cech_face_map expects a Cech element")
@@ -578,26 +554,28 @@ def cech_face_map(
     alpha = tuple(alpha)
     if len(alpha) != p + 1 or any(alpha[i] > alpha[i + 1] for i in range(p)):
         raise NerveError("alpha must be order-preserving [p] -> [q]")
-    nerve = car.nerve
-    out_car = CechCarrier(nerve, car.kind, q, car.tdim)
+    out_car = CechCarrier(car.nerve, car.kind, q, car.tdim)
+    return element.map_payload(
+        lambda x: push_payload(car.nerve, car.kind, alpha, q, x, car.tdim), carrier=out_car
+    )
 
-    def map_payload(x):
-        out = {}
-        for tau in nerve.level_faces(q):
-            sigma = tuple(tau[a] for a in alpha)
-            support = tuple(sorted(set(sigma)))
-            if support not in nerve.faces:
-                continue
-            comp = x.get(support)
-            if comp is None:
-                continue
-            v = transport_payload(nerve, car.kind, support, tau, comp, car.tdim)
-            fcar = out_car.face_carriers[tau]
-            if not fcar.is_zero(v):
-                out[tau] = fcar.add(out.get(tau, fcar.zero()), v)
-        return out
 
-    return element.map_payload(map_payload, carrier=out_car)
+def push_payload(
+    nerve: CoverNerve, kind: str, alpha: Sequence[int], q: int, payload, tdim: int = 0
+):
+    """The payload map of g(alpha) for alpha: [p] -> [q]: the component at a
+    present q-face tau is the transport of the component at the support of
+    tau o alpha (t-coefficients inert when tdim > 0)."""
+    out = {}
+    for tau in nerve.level_faces(q):
+        support = tuple(sorted({tau[a] for a in alpha}))
+        comp = payload.get(support)
+        if comp is None:
+            continue
+        v = transport_payload(nerve, kind, support, tau, comp, tdim)
+        if v:
+            out[tau] = v
+    return out
 
 
 def cech_dgla(nerve: CoverNerve, kind: str, algebra: ParamAlgebra):

@@ -27,15 +27,17 @@ from .params import INFINITY, ParamAlgebra, ParamSeries
 
 class Carrier:
     """Interface of a concrete DG Lie algebra (one homogeneous payload per
-    degree).  Payloads are immutable; operations are pure."""
+    degree).  Payloads are immutable; operations are pure.  Every carrier
+    keeps its payloads as dicts that store no zero entry, so the empty dict
+    is zero."""
 
     min_degree = -1  # quantum type
 
     def zero(self):
-        raise NotImplementedError
+        return {}
 
     def is_zero(self, x) -> bool:
-        raise NotImplementedError
+        return not x
 
     def eq(self, x, y) -> bool:
         raise NotImplementedError
@@ -57,6 +59,54 @@ class Carrier:
 
     def render(self, x, degree: int) -> str:
         return repr(x)
+
+
+class SparseCarrier(Carrier):
+    """Payloads {key -> coefficient}: the polyvector and polydifferential
+    carriers, whose coefficients are LocalizedPolys."""
+
+    def eq(self, x, y) -> bool:
+        return x == y
+
+    def _clean(self, x):
+        return {k: v for k, v in x.items() if not v.is_zero()}
+
+    def add(self, x, y):
+        out = dict(x)
+        for k, v in y.items():
+            out[k] = out[k] + v if k in out else v
+        return self._clean(out)
+
+    def scale(self, c: Fraction, x):
+        return self._clean({k: v.scale(c) for k, v in x.items()})
+
+
+class NestedCarrier(Carrier):
+    """Payloads {key -> payload of the carrier ``inner(key)``}: the Cech
+    carrier keyed by face and the Thom-Sullivan carrier keyed by (level,
+    dt-set).  An absent key stands for zero."""
+
+    def inner(self, key) -> Carrier:
+        raise NotImplementedError
+
+    def eq(self, x, y) -> bool:
+        for k in set(x) | set(y):
+            car = self.inner(k)
+            if not car.eq(x.get(k, {}), y.get(k, {})):
+                return False
+        return True
+
+    def _clean(self, x):
+        return {k: v for k, v in x.items() if not self.inner(k).is_zero(v)}
+
+    def add(self, x, y):
+        out = dict(x)
+        for k, v in y.items():
+            out[k] = self.inner(k).add(out[k], v) if k in out else v
+        return self._clean(out)
+
+    def scale(self, c: Fraction, x):
+        return self._clean({k: self.inner(k).scale(c, v) for k, v in x.items()})
 
 
 class DGLAElement:

@@ -415,22 +415,37 @@ def _require(cond: bool, msg: str):
         raise FormatError(msg)
 
 
+def _strings(obj, kind: type) -> bool:
+    """obj is a list of strings (kind list) or an object whose values are
+    strings (kind dict)."""
+    return isinstance(obj, kind) and all(
+        isinstance(s, str) for s in (obj.values() if kind is dict else obj)
+    )
+
+
 def load_params(obj: Mapping) -> ParamAlgebra:
     _require(isinstance(obj, dict), "params must be an object")
     gens = obj.get("gens")
     order = obj.get("order")
-    _require(isinstance(gens, list) and gens, "params.gens must be a nonempty list")
+    _require(_strings(gens, list) and gens, "params.gens must be a nonempty list of strings")
     _require(isinstance(order, int) and order >= 1, "params.order must be >= 1")
-    extra = [tuple(e) for e in obj.get("extra_relations", [])]
-    return param_algebra_truncate(gens, order, extra)
+    extra = obj.get("extra_relations", [])
+    _require(isinstance(extra, list) and all(
+        isinstance(e, list) and all(isinstance(k, int) for k in e) for e in extra
+    ), "params.extra_relations must be a list of exponent lists")
+    return param_algebra_truncate(gens, order, [tuple(e) for e in extra])
 
 
 def load_chart(obj: Mapping) -> ChartAlgebra:
     _require(isinstance(obj, dict), "chart must be an object")
-    variables = tuple(obj.get("variables", []))
+    raw_vars = obj.get("variables", [])
+    raw_dens = obj.get("denominators", [])
+    _require(_strings(raw_vars, list), "chart variables must be a list of strings")
+    _require(_strings(raw_dens, list), "chart denominators must be a list of expression strings")
+    variables = tuple(raw_vars)
     plain = ChartAlgebra(variables)
     dens = []
-    for s in obj.get("denominators", []):
+    for s in raw_dens:
         p = parse_poly(plain, s)
         dens.append(p.numer)
     return ChartAlgebra(variables, tuple(dens))
@@ -456,14 +471,21 @@ def load_nerve(obj: Mapping) -> CoverNerve:
     for label, chart_obj in faces_obj.items():
         algebras[_face_of(label, indices)] = load_chart(chart_obj)
     restrictions = {}
-    for key, spec in (obj.get("restrictions") or {}).items():
+    specs = obj.get("restrictions") or {}
+    _require(isinstance(specs, dict), "nerve.restrictions must be an object")
+    for key, spec in specs.items():
         m = re.fullmatch(r"(.*?)\s*->\s*(.*)", key)
         _require(m is not None, f"restriction key {key!r} must be 'FACE -> COFACE'")
         f = _face_of(m.group(1), indices)
         g = _face_of(m.group(2), indices)
+        _require(f in algebras and g in algebras,
+                 f"restriction {key!r} names a face absent from nerve.faces")
+        _require(isinstance(spec, dict), f"restriction {key!r} must be an object")
         src, tgt = algebras[f], algebras[g]
         images = []
         img_map = spec.get("images", {})
+        _require(_strings(img_map, dict),
+                 f"restriction {key!r}: images must map variables to expression strings")
         for v in src.variables:
             _require(v in img_map, f"restriction {key!r}: missing image of {v}")
             images.append(parse_localized(tgt, img_map[v]))
@@ -471,8 +493,12 @@ def load_nerve(obj: Mapping) -> CoverNerve:
         if "derivations" in spec:
             derivs = []
             ctx = ExprContext(param_algebra_truncate(["_eps"], 1), tgt, "polyvec")
+            deriv_map = spec["derivations"]
+            _require(_strings(deriv_map, dict),
+                     f"restriction {key!r}: derivations must map variables to expression strings")
             for v in src.variables:
-                elt = parse_element(ctx, spec["derivations"][v])
+                _require(v in deriv_map, f"restriction {key!r}: missing derivation of {v}")
+                elt = parse_element(ctx, deriv_map[v])
                 _require(elt.degree == 0, "derivation images must be vector fields")
                 derivs.append(elt.parts.get(0, {}))
         restrictions[(f, g)] = RestrictionMap.build(src, tgt, images, derivs)
@@ -509,8 +535,7 @@ def load_descent(obj: Mapping):
     data = []
     for level, key in enumerate(keys):
         section = obj.get(key) or {}
-        _require(isinstance(section, dict) and all(isinstance(t, str) for t in section.values()),
-                 f"{key} must map faces to expression strings")
+        _require(_strings(section, dict), f"{key} must map faces to expression strings")
         out = {}
         degree = 1 if level == 0 else (0 if level == 1 else -1)
         for label, text in sorted(section.items()):
@@ -574,8 +599,7 @@ def _whitney_from_spec(handle, nerve, flavor, algebra, spec, total_degree):
     car = CechCarrier(nerve, kind_of(flavor), q, 0)
     parts: dict = {}
     values = spec.get("values") or {}
-    _require(isinstance(values, dict) and all(isinstance(t, str) for t in values.values()),
-             "whitney spec values must map faces to expression strings")
+    _require(_strings(values, dict), "whitney spec values must map faces to expression strings")
     for label, text in sorted(values.items()):
         face = _face_of(label, nerve.indices)
         _require(len(face) == q + 1, f"whitney value face {label!r} has level != q")

@@ -35,13 +35,13 @@ from .exactalg import (
     QQ,
 )
 from .dgla import (
-    Carrier,
     DGLAElement,
     GaugeElement,
     IntertwinerCertificate,
     MCElement,
     MCViolation,
     MCCheckError,
+    SparseCarrier,
     bch,
     exp_series,
     gauge_act,
@@ -100,7 +100,7 @@ def _compositions_of(total: int, parts: int):
             yield (first,) + rest
 
 
-class PolydiffCarrier(Carrier):
+class PolydiffCarrier(SparseCarrier):
     """D_poly^nor over a chart; ``deriv_indices`` lists the geometric
     variables (others, such as simplex coordinates, are inert scalars)."""
 
@@ -126,35 +126,6 @@ class PolydiffCarrier(Carrier):
 
     def zero_index(self) -> Exponent:
         return (0,) * self.nderiv
-
-    # -- payload basics ----------------------------------------------------
-
-    def zero(self) -> DiffPayload:
-        return {}
-
-    def is_zero(self, x: DiffPayload) -> bool:
-        return not x
-
-    def eq(self, x: DiffPayload, y: DiffPayload) -> bool:
-        for k in set(x) | set(y):
-            a, b = x.get(k), y.get(k)
-            if a is None or b is None:
-                return False
-            if a != b:
-                return False
-        return True
-
-    def _clean(self, x: DiffPayload) -> DiffPayload:
-        return {k: v for k, v in x.items() if not v.is_zero()}
-
-    def add(self, x: DiffPayload, y: DiffPayload) -> DiffPayload:
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = out[k] + v if k in out else v
-        return self._clean(out)
-
-    def scale(self, c: Fraction, x: DiffPayload) -> DiffPayload:
-        return self._clean({k: v.scale(c) for k, v in x.items()})
 
     def is_normalized(self, x: DiffPayload) -> bool:
         return all(

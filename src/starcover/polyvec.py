@@ -23,11 +23,11 @@ from typing import Mapping, Optional, Sequence
 
 from .exactalg import AlgebraError, ChartAlgebra, LocalizedPoly
 from .dgla import (
-    Carrier,
     DGLAElement,
     GaugeElement,
     IntertwinerCertificate,
     MCElement,
+    SparseCarrier,
     exp_series,
     gauge_act,
     require_mc,
@@ -49,7 +49,7 @@ def merge_odd(a: VecKey, b: VecKey) -> Optional[tuple[VecKey, int]]:
     return merged, (-1) ** inv
 
 
-class PolyvecCarrier(Carrier):
+class PolyvecCarrier(SparseCarrier):
     """T_poly over a chart; ``deriv_indices`` lists the geometric variables."""
 
     def __init__(self, chart: ChartAlgebra, deriv_indices: Optional[Sequence[int]] = None):
@@ -67,36 +67,6 @@ class PolyvecCarrier(Carrier):
 
     def __hash__(self):
         return hash((self.chart, self.deriv_indices))
-
-    # -- payload basics ----------------------------------------------------
-
-    def zero(self) -> VecPayload:
-        return {}
-
-    def is_zero(self, x: VecPayload) -> bool:
-        return not x
-
-    def eq(self, x: VecPayload, y: VecPayload) -> bool:
-        for k in set(x) | set(y):
-            a = x.get(k)
-            b = y.get(k)
-            if a is None or b is None:
-                return False
-            if a != b:
-                return False
-        return True
-
-    def _clean(self, x: VecPayload) -> VecPayload:
-        return {k: v for k, v in x.items() if not v.is_zero()}
-
-    def add(self, x: VecPayload, y: VecPayload) -> VecPayload:
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = out[k] + v if k in out else v
-        return self._clean(out)
-
-    def scale(self, c: Fraction, x: VecPayload) -> VecPayload:
-        return self._clean({k: v.scale(c) for k, v in x.items()})
 
     def d(self, x: VecPayload, degree: int) -> VecPayload:
         return {}

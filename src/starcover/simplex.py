@@ -100,7 +100,7 @@ class SimplexForm:
         parts: dict[frozenset, Poly] = {}
         for S1, f1 in self.parts.items():
             for S2, f2 in other.parts.items():
-                merged = _wedge_sets(S1, S2)
+                merged = wedge_sets(S1, S2)
                 if merged is None:
                     continue
                 S, sign = merged
@@ -117,7 +117,7 @@ class SimplexForm:
                 df = f.derivative(i - 1)
                 if df.is_zero():
                     continue
-                merged = _wedge_sets(frozenset([i]), S)
+                merged = wedge_sets(frozenset([i]), S)
                 assert merged is not None
                 S2, sign = merged
                 g = df.scale(sign)
@@ -156,7 +156,9 @@ class SimplexForm:
         return f"SimplexForm(q={self.q}, {self.render()!r})"
 
 
-def _wedge_sets(S1: frozenset, S2: frozenset):
+def wedge_sets(S1: frozenset, S2: frozenset):
+    """dt_S1 ^ dt_S2 = sign * dt_(S1 | S2) as (S1 | S2, sign), each set in
+    increasing order; None when they meet."""
     if S1 & S2:
         return None
     a = sorted(S1)

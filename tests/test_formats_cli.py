@@ -340,6 +340,69 @@ def test_cli_octahedron_datum_of_either_kind_loads(tmp_path, kind):
     assert _run([f"check-{kind}", str(path)])[0] == 0
 
 
+def _edit_face(label, **chart):
+    return lambda obj: obj["nerve"]["faces"][label].update(chart)
+
+
+def _edit_restriction(key, **spec):
+    return lambda nerve: nerve["restrictions"][key].update(spec)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj["params"].update(gens=[5]), "params.gens must be a nonempty list of strings"),
+        (lambda obj: obj["params"].update(extra_relations=5),
+         "params.extra_relations must be a list of exponent lists"),
+        (lambda obj: obj["params"].update(extra_relations=[5]),
+         "params.extra_relations must be a list of exponent lists"),
+        (lambda obj: obj["params"].update(extra_relations=[["x"]]),
+         "params.extra_relations must be a list of exponent lists"),
+        (_edit_face("U0", variables=5), "chart variables must be a list of strings"),
+        (_edit_face("U0", denominators=5), "chart denominators must be a list of expression strings"),
+        (_edit_face("U0", denominators=[5]), "chart denominators must be a list of expression strings"),
+        (lambda obj: obj["nerve"].update(restrictions=[1]), "nerve.restrictions must be an object"),
+        (lambda obj: obj["nerve"]["restrictions"].update({"U0 -> U0,U2": 5}),
+         "restriction 'U0 -> U0,U2' must be an object"),
+        (lambda obj: obj["nerve"]["restrictions"].update({"U0 -> U0,U1": {"images": {}}}),
+         "restriction 'U0 -> U0,U1' names a face absent from nerve.faces"),
+    ],
+    ids=["gens-int", "extra-relations-int", "extra-relation-int", "extra-relation-str",
+         "variables-int", "denominators-int", "denominator-int", "restrictions-list",
+         "restriction-int", "restriction-absent-face"],
+)
+def test_cli_mistyped_params_or_nerve(tmp_path, capsys, edit, message):
+    obj = _octahedron_datum("mdd")
+    edit(obj)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["check-mdd", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit_restriction("U0 -> U0,U1", images={"x": 3}),
+         "restriction 'U0 -> U0,U1': images must map variables to expression strings"),
+        (_edit_restriction("U0 -> U0,U1", derivations={"x": 3}),
+         "restriction 'U0 -> U0,U1': derivations must map variables to expression strings"),
+        (_edit_restriction("U0 -> U0,U1", derivations={}),
+         "restriction 'U0 -> U0,U1': missing derivation of x"),
+        (_edit_restriction("U0 -> U0,U1", derivations=["dx"]),
+         "restriction 'U0 -> U0,U1': derivations must map variables to expression strings"),
+    ],
+    ids=["image-int", "derivation-int", "derivation-missing", "derivations-list"],
+)
+def test_cli_mistyped_restriction_in_nerve(tmp_path, capsys, edit, message):
+    obj = json.loads((DATA / "line-cover.json").read_text(encoding="utf-8"))
+    edit(obj)
+    path = tmp_path / "nerve.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["cohomology", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
 def test_cli_exp_add_int_mc_pipeline(tmp_path, rng):
     nerve = simplex_nerve(3)
     ts_obj = {

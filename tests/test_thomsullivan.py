@@ -18,12 +18,13 @@ from starcover import (
     validate_compatibility,
     whitney,
 )
-from starcover.cechnerve import transport_payload
+from starcover.cechnerve import extend_chart, transport_payload
+from starcover.exactalg import ChartAlgebra, Poly
+from starcover.polyvec import PolyvecCarrier
+from starcover.simplex import SimplexForm, codegeneracy, coface, face_pullback, t_vars
 from starcover.thomsullivan import (
     TSCarrier,
     TSError,
-    _add_payload,
-    _payload_eq,
     _pullback_component,
     integrate_component,
     level_zero_element,
@@ -88,12 +89,27 @@ def test_whitney_elements_are_compatible(rng, setup):
 
 
 def test_ts_is_a_dgla(rng, setup):
+    # the dt-wedge sign of TSCarrier.d and .bracket on both kinds: polyvector
+    # inputs, then polydifferential ones
     nerve, R, H = setup
     A = whitney(H, 0, rand_cech(rng, nerve, R, 0, 0)) + whitney(
         H, 1, rand_cech(rng, nerve, R, 1, -1)
     )
     B = whitney(H, 1, rand_cech(rng, nerve, R, 1, 0))
     C = whitney(H, 2, rand_cech(rng, nerve, R, 2, -1))
+    _check_dgla_identities(A, B, C)
+    D = ts_normalize(nerve, "polydiff", R)
+    A = whitney(D, 0, rand_cochain(rng, nerve, R, "polydiff", 0, 0, 1)) + whitney(
+        D, 1, rand_cochain(rng, nerve, R, "polydiff", 1, -1, 1)
+    )
+    B = whitney(D, 1, rand_cochain(rng, nerve, R, "polydiff", 1, 0, 1))
+    C = whitney(D, 2, rand_cochain(rng, nerve, R, "polydiff", 2, -1, 1))
+    _check_dgla_identities(A, B, C)
+
+
+def _check_dgla_identities(A, B, C):
+    """d o d, antisymmetry, Jacobi and Leibniz, for A of total degree 0 and
+    B, C of total degree 1."""
     sgn = lambda a, b: (-1) ** (a * b)
     assert A.d().d().is_zero()
     assert B.d().d().is_zero()
@@ -168,6 +184,41 @@ def test_whitney_edge_integral():
     assert back == cochain
 
 
+SIMPLEX_MAPS = [
+    (f"coface{i}-{q}", coface(i, q), q - 1, q) for q in range(1, 4) for i in range(q + 1)
+] + [
+    (f"codegeneracy{i}-{q}", codegeneracy(i, q), q + 1, q) for q in range(4) for i in range(q + 1)
+]
+
+
+@pytest.mark.parametrize(
+    "alpha, p, q", [m[1:] for m in SIMPLEX_MAPS], ids=[m[0] for m in SIMPLEX_MAPS]
+)
+def test_pullback_matches_face_pullback(alpha, p, q):
+    # oracle: simplex.face_pullback of the same form, for a coefficient in
+    # t alone, every dt-set of Delta^q, over a chart with its own variable x
+    rng = random.Random(f"pullback:{alpha}")
+    chart = ChartAlgebra(("x",))
+    fcar = PolyvecCarrier(extend_chart(chart, p), (0,))
+    target = extend_chart(chart, q)
+    tv = t_vars(q)
+    exponents = [e for e in itertools.product(range(3), repeat=q) if sum(e) <= 2]
+    for r in range(q + 1):
+        for S in map(frozenset, itertools.combinations(range(1, q + 1), r)):
+            f = Poly(tv, {e: Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+                          for e in exponents})
+            lifted = {(0,) + e: c for e, c in f.terms.items()}
+            coeff = LocalizedPoly(target, Poly(target.variables, lifted))
+            pulled = _pullback_component(fcar, {(): coeff}, S, alpha, p, q)
+            want = face_pullback(SimplexForm(q, {S: f}), alpha, p)
+            assert set(pulled) == set(want.parts)
+            for S_src, g in want.parts.items():
+                assert list(pulled[S_src]) == [()]
+                got = pulled[S_src][()]
+                assert not any(got.powers)
+                assert got.numer.terms == {(0,) + e: c for e, c in g.terms.items()}
+
+
 # ---------------------------------------------------------------------------
 # the codegeneracy spot check: validate_compatibility's docstring proves it
 # implied by the coface conditions; kept here as the oracle of that proof
@@ -180,13 +231,12 @@ def _forced_value(element: DGLAElement, bi: int, w: tuple, target_levels: int):
     support(w): pull the stored support-level component back along the
     canonical collapse."""
     car: TSCarrier = element.carrier
-    nerve = car.nerve
-    kind = car.kind
     support = tuple(sorted(set(w)))
     k = len(support) - 1
     pos = {v: i for i, v in enumerate(support)}
     sigma = tuple(pos[v] for v in w)
     p = len(w) - 1
+    fcar = _face_carrier(car.nerve, car.kind, support, p)
     payload = element.parts.get(bi, {})
     out: dict[frozenset, dict] = {}
     for (l, S), comp in payload.items():
@@ -195,10 +245,16 @@ def _forced_value(element: DGLAElement, bi: int, w: tuple, target_levels: int):
         data = comp.get(support)
         if data is None:
             continue
-        pulled = _pullback_component(nerve, kind, support, data, S, sigma, p, k)
+        pulled = _pullback_component(fcar, data, S, sigma, p, k)
         for S_src, pdata in pulled.items():
-            out[S_src] = _add_payload(kind, out.get(S_src, {}), pdata) if S_src in out else pdata
+            out[S_src] = fcar.add(out[S_src], pdata) if S_src in out else pdata
     return support, {S: d for S, d in out.items() if d}
+
+
+@lru_cache(maxsize=None)
+def _face_carrier(nerve, kind, face, tdim):
+    """The carrier of ``face`` over its chart extended by t_1..t_tdim."""
+    return CechCarrier(nerve, kind, len(face) - 1, tdim).face_carriers[face]
 
 
 def _spot_check_top(element: DGLAElement) -> None:
@@ -218,14 +274,15 @@ def _spot_check_top(element: DGLAElement) -> None:
             if sup_w not in nerve.faces:
                 continue
             sup, forced_w = _forced_value(element, bi, w, L)
+            fcar = _face_carrier(nerve, kind, sup, q - 1)
             for i in range(q + 1):
                 delta = tuple(j if j < i else j + 1 for j in range(q))
                 # rhs: pull the forced value at w back along delta_i
                 rhs: dict[frozenset, dict] = {}
                 for S, data in forced_w.items():
-                    pulled = _pullback_component(nerve, kind, sup, data, S, delta, q - 1, q)
+                    pulled = _pullback_component(fcar, data, S, delta, q - 1, q)
                     for S2, pd in pulled.items():
-                        rhs[S2] = _add_payload(kind, rhs.get(S2, {}), pd) if S2 in rhs else pd
+                        rhs[S2] = fcar.add(rhs[S2], pd) if S2 in rhs else pd
                 # lhs: forced value of the sub-tuple, moved to sup's chart
                 v = tuple(w[a] for a in delta)
                 sup_v, forced_v = _forced_value(element, bi, v, L)
@@ -235,7 +292,7 @@ def _spot_check_top(element: DGLAElement) -> None:
                     if moved:
                         lhs[S] = moved
                 for S in set(lhs) | set(rhs):
-                    if not _payload_eq(kind, lhs.get(S, {}), rhs.get(S, {})):
+                    if not fcar.eq(lhs.get(S, {}), rhs.get(S, {})):
                         raise TSError(
                             f"codegeneracy propagation fails at tuple {w}, "
                             f"coface {i}"
