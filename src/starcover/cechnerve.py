@@ -59,6 +59,8 @@ class RestrictionMap:
         for img in self.var_images:
             if img.chart != self.target:
                 raise NerveError("variable image in the wrong chart")
+        # a plain attribute, not a field: equality of maps stays structural
+        self._identity: Optional[bool] = None
 
     @staticmethod
     def build(
@@ -105,6 +107,34 @@ class RestrictionMap:
                         f"derivation transport violates the chain rule at "
                         f"({self.source.variables[i]}, {self.source.variables[j]})"
                     )
+
+    def is_identity(self) -> bool:
+        """The identity of one chart: source equal to target, every variable
+        sent to itself and every coordinate derivation to itself.  Decided on
+        the generators, so maps made by ``build`` count too; computed once."""
+        if self._identity is None:
+            chart = self.target
+            self._identity = (
+                self.source == chart
+                and len(self.deriv_images) == len(chart.variables)
+                and all(img == chart.var(v) for img, v in zip(self.var_images, chart.variables))
+                and all(D == {(i,): chart.one()} for i, D in enumerate(self.deriv_images))
+            )
+        return self._identity
+
+    def transport(self, kind: str, payload: dict, tdim: int = 0) -> dict:
+        """Push a polyvec or polydiff payload along the map, with ``tdim``
+        inert simplex coordinates on both charts.  Along the identity the
+        payload comes back unchanged; every other map takes the general
+        route, which is the oracle for that shortcut in the tests."""
+        if self.is_identity():
+            return dict(payload)
+        rm = self.extended(tdim) if tdim else self
+        if kind == "polyvec":
+            return _transport_polyvec(rm, payload)
+        src_car = PolydiffCarrier(rm.source, range(len(self.source.variables)))
+        tgt_car = PolydiffCarrier(rm.target, range(len(self.target.variables)))
+        return _transport_polydiff(rm, payload, src_car, tgt_car)
 
     def apply_scalar(self, c: LocalizedPoly) -> LocalizedPoly:
         if c.chart != self.source:
@@ -407,12 +437,12 @@ class CoverNerve:
     def restriction(self, f: Face, g: Face) -> RestrictionMap:
         """Composite restriction along any inclusion f <= g."""
         f, g = tuple(f), tuple(g)
-        if f == g:
-            return RestrictionMap.identity_like(self.face_algebras[f], self.face_algebras[f])
         key = (f, g)
         if key in self._rest_cache:
             return self._rest_cache[key]
-        if _is_codim1_inclusion(f, g):
+        if f == g:
+            out = RestrictionMap.identity_like(self.face_algebras[f], self.face_algebras[f])
+        elif _is_codim1_inclusion(f, g):
             out = self._codim1[key]
         else:
             extra = sorted(set(g) - set(f))
@@ -529,16 +559,7 @@ class CechCarrier(NestedCarrier):
 
 def transport_payload(nerve: CoverNerve, kind: str, f: Face, g: Face, payload, tdim: int = 0):
     """Push a face payload from face f to a larger face g."""
-    rm = nerve.restriction(f, g)
-    if tdim:
-        rm = rm.extended(tdim)
-    if kind == "polyvec":
-        return _transport_polyvec(rm, payload)
-    src_chart = extend_chart(nerve.algebra(f), tdim)
-    tgt_chart = extend_chart(nerve.algebra(g), tdim)
-    src_car = PolydiffCarrier(src_chart, tuple(range(len(nerve.algebra(f).variables))))
-    tgt_car = PolydiffCarrier(tgt_chart, tuple(range(len(nerve.algebra(g).variables))))
-    return _transport_polydiff(rm, payload, src_car, tgt_car)
+    return nerve.restriction(f, g).transport(kind, payload, tdim)
 
 
 def cech_face_map(
@@ -637,18 +658,7 @@ class Refinement:
                 comp = x.get(sup)
                 if comp is None:
                     continue
-                rm = self.face_maps[tau]
-                if car.tdim:
-                    rm = rm.extended(car.tdim)
-                if car.kind == "polyvec":
-                    v = _transport_polyvec(rm, comp)
-                else:
-                    src_car = PolydiffCarrier(
-                        extend_chart(self.coarse.algebra(sup), car.tdim),
-                        tuple(range(len(self.coarse.algebra(sup).variables))),
-                    )
-                    tgt_car = out_car.face_carriers[tau]
-                    v = _transport_polydiff(rm, comp, src_car, tgt_car)
+                v = self.face_maps[tau].transport(car.kind, comp, car.tdim)
                 if not out_car.face_carriers[tau].is_zero(v):
                     out[tau] = v
             return out

@@ -443,10 +443,12 @@ def load_chart(obj: Mapping) -> ChartAlgebra:
     _require(_strings(raw_vars, list), "chart variables must be a list of strings")
     _require(_strings(raw_dens, list), "chart denominators must be a list of expression strings")
     variables = tuple(raw_vars)
+    _require(len(set(variables)) == len(variables), "chart variables must be distinct")
     plain = ChartAlgebra(variables)
     dens = []
     for s in raw_dens:
         p = parse_poly(plain, s)
+        _require(not p.is_zero(), f"chart denominator {s!r} is zero")
         dens.append(p.numer)
     return ChartAlgebra(variables, tuple(dens))
 

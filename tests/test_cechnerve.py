@@ -21,9 +21,24 @@ from starcover import (
     octahedron_nerve,
     param_algebra_truncate,
 )
-from starcover.cechnerve import CechComplex, cech_face_map, identity_refinement, transport_payload
+from starcover.cechnerve import (
+    CechComplex,
+    _transport_polydiff,
+    _transport_polyvec,
+    cech_face_map,
+    extend_chart,
+    identity_refinement,
+    transport_payload,
+)
+from starcover.polydiff import PolydiffCarrier
 
-from conftest import rand_poly, simplex_nerve
+from conftest import (
+    rand_poly,
+    rand_polydiff_payload,
+    rand_polyvec_payload,
+    shear_nerve,
+    simplex_nerve,
+)
 
 
 def two_chart_line():
@@ -350,3 +365,195 @@ def test_octahedron_betti_against_independent_rank_oracle():
     betti = [len(verts) - r0, len(edges) - r0 - r1, len(tris) - r1]
     assert betti == [1, 0, 1]
     assert cech_cohomology(octahedron_nerve()).betti() == betti
+
+
+# ---------------------------------------------------------------------------
+# transport along the identity, against the general route
+# ---------------------------------------------------------------------------
+
+
+def _general_route(rm, kind, payload, tdim):
+    """Transport by substitution and pushforward, whatever the map: the
+    oracle for the identity shortcut of RestrictionMap.transport."""
+    ext = rm.extended(tdim) if tdim else rm
+    if kind == "polyvec":
+        return _transport_polyvec(ext, payload)
+    src = PolydiffCarrier(ext.source, range(len(rm.source.variables)))
+    tgt = PolydiffCarrier(ext.target, range(len(rm.target.variables)))
+    return _transport_polydiff(ext, payload, src, tgt)
+
+
+def _ordered(payload):
+    """A payload as a list, so that key order and term order both count."""
+    return [(k, list(v.numer.terms.items()), v.powers) for k, v in payload.items()]
+
+
+def _seeded_payload(rng, kind, chart, tdim, degree):
+    """A payload over ``chart`` with ``tdim`` simplex coordinates and at
+    least two terms; with a declared denominator, some coefficients carry
+    it."""
+    ext = extend_chart(chart, tdim)
+    deriv = range(len(chart.variables))
+    while True:
+        if kind == "polyvec":
+            car = PolyvecCarrier(ext, deriv)
+            pay = rand_polyvec_payload(rng, car, degree)
+        else:
+            car = PolydiffCarrier(ext, deriv)
+            pay = rand_polydiff_payload(rng, car, degree)
+        if ext.denominators:
+            pay = {k: LocalizedPoly(ext, v.numer, (rng.randint(0, 2),)) for k, v in pay.items()}
+        if sum(len(v.numer.terms) for v in pay.values()) >= 2:
+            return pay
+
+
+# payload degrees with a nonzero payload on a two-variable chart
+_DEGREES = {"polyvec": (0, 1), "polydiff": (0, 1, 2)}
+
+
+def _localized(chart):
+    """The chart with its first variable declared invertible."""
+    return ChartAlgebra(chart.variables, (Poly.var(chart.variables, chart.variables[0]),))
+
+
+def _identity_maps():
+    C = ChartAlgebra(("x", "y"))
+    shear = shear_nerve(3)
+    maps = [
+        RestrictionMap.identity_like(C, C),
+        RestrictionMap.identity_like(_localized(C), _localized(C)),
+        simplex_nerve(3).restriction((1,), (0, 1, 2)),
+    ]
+    maps += [
+        shear.restriction(f, g)
+        for f in sorted(shear.faces) for g in sorted(shear.faces)
+        if f != g and set(f) <= set(g) and f[0] == g[0]
+    ]
+    return maps
+
+
+@pytest.mark.parametrize("tdim", [0, 2])
+@pytest.mark.parametrize("kind", ["polyvec", "polydiff"])
+def test_identity_transport_matches_the_general_route(kind, tdim):
+    rng = random.Random(f"identity-{kind}-{tdim}")
+    for rm in _identity_maps():
+        assert rm.is_identity()
+        for degree in _DEGREES[kind]:
+            pay = _seeded_payload(rng, kind, rm.source, tdim, degree)
+            out = rm.transport(kind, pay, tdim)
+            assert _ordered(out) == _ordered(_general_route(rm, kind, pay, tdim))
+            assert out is not pay
+
+
+@pytest.mark.parametrize("tdim", [0, 1])
+@pytest.mark.parametrize("kind", ["polyvec", "polydiff"])
+def test_shear_transport_takes_the_general_route(kind, tdim):
+    nerve = shear_nerve(3)
+    rng = random.Random(f"shear-{kind}-{tdim}")
+    moved = 0
+    for f in sorted(nerve.faces):
+        for g in sorted(nerve.faces):
+            if f == g or not set(f) <= set(g) or f[0] == g[0]:
+                continue
+            rm = nerve.restriction(f, g)
+            for degree in _DEGREES[kind]:
+                pay = _seeded_payload(rng, kind, rm.source, tdim, degree)
+                out = transport_payload(nerve, kind, f, g, pay, tdim)
+                assert _ordered(out) == _ordered(_general_route(rm, kind, pay, tdim))
+                moved += _ordered(out) != _ordered(pay)
+    assert moved
+
+
+def test_is_identity_truth_table():
+    C = ChartAlgebra(("x", "y"))
+    assert RestrictionMap.identity_like(C, C).is_identity()
+    const = constant_nerve(["U0", "U1"], [(0,), (1,), (0, 1)])
+    assert const.restriction((0,), (0, 1)).is_identity()
+    # shear maps move y by (g[0] - f[0]) x^2: the identity exactly when that is 0
+    shear = shear_nerve(3)
+    seen = set()
+    for f in shear.faces:
+        for g in shear.faces:
+            if f != g and set(f) <= set(g):
+                rm = shear.restriction(f, g)
+                assert rm.is_identity() == (f[0] == g[0])
+                seen.add(rm.is_identity())
+    assert seen == {True, False}
+    # into a more localized chart: equal images, but not the same chart
+    assert not RestrictionMap.identity_like(C, _localized(C)).is_identity()
+    # a translation moves a variable but pushes each derivation to itself
+    shift = RestrictionMap.build(C, C, [C.var("x") + C.one(), C.var("y")])
+    assert shift.deriv_images == RestrictionMap.identity_like(C, C).deriv_images
+    assert not shift.is_identity()
+    # the chain rule ties derivations to variables only on validated maps;
+    # the constructor alone takes any derivation images
+    car = PolyvecCarrier(C)
+    doubled = RestrictionMap(
+        C, C, (C.var("x"), C.var("y")),
+        (car.vector_field({0: C.one().scale(2)}), car.vector_field({1: C.one()})),
+    )
+    assert not doubled.is_identity()
+    line = two_chart_line()
+    assert not line.restriction((0,), (0, 1)).is_identity()
+    assert not line.restriction((1,), (0, 1)).is_identity()  # y -> 1/x
+
+
+def test_is_identity_leaves_equality_alone():
+    C = ChartAlgebra(("x", "y"))
+    a, b = RestrictionMap.identity_like(C, C), RestrictionMap.identity_like(C, C)
+    assert a.is_identity()
+    assert a == b  # b has not decided it yet
+
+
+def test_trivial_restriction_is_cached():
+    nerve = shear_nerve(2)
+    rm = nerve.restriction((0,), (0,))
+    assert rm.is_identity()
+    assert nerve.restriction((0,), (0,)) is rm
+    assert nerve.restriction([0], [0]) is rm
+
+
+def _refinement_of_shear():
+    """shear_nerve(2) refined by doubling chart U0: fine face f restricts
+    from its coarse support by y -> y + (f[-1] - f[0] + len(f) - 1) x^2, so
+    some face maps are the identity and some are not."""
+    coarse, fine, rho = shear_nerve(2), shear_nerve(3), (0, 0, 1)
+    maps = {}
+    for f in fine.faces:
+        sup = tuple(sorted({rho[i] for i in f}))
+        src, tgt = coarse.algebra(sup), fine.algebra(f)
+        x, y = tgt.var("x"), tgt.var("y")
+        shift = LocalizedPoly.const(tgt, f[-1] - f[0] + len(f) - 1) * x * x
+        maps[f] = RestrictionMap.build(src, tgt, [x, y + shift])
+    return Refinement(fine, coarse, rho, maps)
+
+
+@pytest.mark.parametrize("tdim", [0, 1])
+@pytest.mark.parametrize("kind", ["polyvec", "polydiff"])
+def test_pull_sections_transports_each_component(kind, tdim):
+    rng = random.Random(f"pull-{kind}-{tdim}")
+    R = param_algebra_truncate(["hbar"], 2)
+    real = _refinement_of_shear()
+    assert {rm.is_identity() for rm in real.face_maps.values()} == {True, False}
+    for ref in (identity_refinement(real.coarse), real):
+        for level in range(real.coarse.max_level() + 1):
+            car = CechCarrier(ref.coarse, kind, level, tdim)
+            parts = {
+                i: {
+                    f: _seeded_payload(rng, kind, ref.coarse.algebra(f), tdim, 1)
+                    for f in ref.coarse.level_faces(level)
+                }
+                for i in range(len(R.basis))
+            }
+            pulled = ref.pull_sections(DGLAElement(car, R, 1, parts))
+            assert pulled.carrier == CechCarrier(ref.fine, kind, level, tdim)
+            for i, comp in parts.items():
+                want = []
+                for tau in ref.fine.level_faces(level):
+                    sup = ref.coarse_support(tau)
+                    if sup in comp:
+                        v = _general_route(ref.face_maps[tau], kind, comp[sup], tdim)
+                        if v:
+                            want.append((tau, _ordered(v)))
+                got = [(tau, _ordered(v)) for tau, v in pulled.parts.get(i, {}).items()]
+                assert got == want

@@ -403,6 +403,23 @@ def test_cli_mistyped_restriction_in_nerve(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err.startswith(f"input error: {message}")
 
 
+@pytest.mark.parametrize(
+    "chart, message",
+    [
+        ({"variables": ["x", "x"]}, "chart variables must be distinct"),
+        ({"denominators": ["0"]}, "chart denominator '0' is zero"),
+    ],
+    ids=["variables-repeated", "denominator-zero"],
+)
+def test_cli_malformed_chart_in_nerve(tmp_path, capsys, chart, message):
+    obj = json.loads((DATA / "line-cover.json").read_text(encoding="utf-8"))
+    obj["faces"]["U0"].update(chart)
+    path = tmp_path / "nerve.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["cohomology", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
 def test_cli_exp_add_int_mc_pipeline(tmp_path, rng):
     nerve = simplex_nerve(3)
     ts_obj = {
