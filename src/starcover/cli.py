@@ -176,16 +176,16 @@ def cmd_obstruction(args) -> int:
     return 1
 
 
-def _load_poisson_input(obj):
+def _load_params_and_chart(obj):
     if obj.get("schema") != 1:
         raise FormatError("schema must be 1")
-    algebra = formats.load_params(obj.get("params"))
-    chart = formats.load_chart(obj.get("chart"))
+    return formats.load_params(obj.get("params")), formats.load_chart(obj.get("chart"))
+
+
+def _load_poisson_input(obj):
+    algebra, chart = _load_params_and_chart(obj)
     ctx = formats.ExprContext(algebra, chart, "polyvec")
-    elt = formats.parse_element(ctx, obj.get("bivector", "0"))
-    if elt.degree != 1 and not elt.is_zero():
-        raise FormatError("bivector expression must have polyvector degree 1")
-    return algebra, chart, elt
+    return algebra, chart, formats.load_expression(ctx, obj, "bivector", 1)
 
 
 def cmd_quantize(args) -> int:
@@ -194,7 +194,7 @@ def cmd_quantize(args) -> int:
     if args.order is not None:
         algebra2 = param_algebra_truncate(algebra.gens, args.order, algebra.extra_relations)
         ctx = formats.ExprContext(algebra2, chart, "polyvec")
-        elt = formats.parse_element(ctx, obj.get("bivector", "0"))
+        elt = formats.load_expression(ctx, obj, "bivector", 1)
         algebra = algebra2
     structure = pv.poisson_from_mc(require_mc(elt))
     star = pd.quantize_affine_order2(structure, args.cert_degree)
@@ -230,10 +230,9 @@ def _star_table(star, degree: int) -> dict:
 def cmd_star_table(args) -> int:
     obj = _load_json(args.input)
     if obj.get("kind") == "star":
-        algebra = formats.load_params(obj.get("params"))
-        chart = formats.load_chart(obj.get("chart"))
+        algebra, chart = _load_params_and_chart(obj)
         ctx = formats.ExprContext(algebra, chart, "polydiff")
-        beta = formats.parse_element(ctx, obj.get("beta", "0"))
+        beta = formats.load_expression(ctx, obj, "beta", 1)
         star = pd.star_from_mc(beta, args.cert_degree)
     else:
         algebra, chart, elt = _load_poisson_input(obj)

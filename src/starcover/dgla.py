@@ -389,7 +389,9 @@ def exp_series(apply_once: Callable[[DGLAElement], DGLAElement], x: DGLAElement)
 
 
 # ---------------------------------------------------------------------------
-# Baker-Campbell-Hausdorff via free-algebra logarithm + Dynkin projection
+# Baker-Campbell-Hausdorff via free-algebra logarithm + Dynkin projection.
+# bch evaluates the Dynkin words folded by antisymmetry, one bracket per
+# surviving word; its slot derivatives are one Bernoulli chain in ad_y.
 # ---------------------------------------------------------------------------
 
 
@@ -427,29 +429,62 @@ def bch_word_coefficients(max_len: int) -> tuple[tuple[tuple[int, ...], Fraction
     return items
 
 
+@lru_cache(maxsize=None)
+def bch_dynkin_words(max_len: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """The Dynkin form of log(exp X exp Y): words w with coefficients d_w
+    such that the sum of d_w times the left-nested bracket
+    [..[[w_1, w_2], w_3].., w_n] is the BCH series up to length max_len.
+
+    d_w is c_w / |w| (Dynkin-Specht-Wever), folded by antisymmetry:
+    a word that starts with two equal letters brackets to 0 and is dropped,
+    and [[Y, X], ..] = -[[X, Y], ..] moves a word (1, 0, ..) onto (0, 1, ..)
+    with its coefficient negated.  Words whose merged coefficient is 0 are
+    dropped; every surviving word of length >= 2 starts with (0, 1)."""
+    folded: dict = {}
+    for w, c in bch_word_coefficients(max_len):
+        c = Fraction(c, len(w))
+        if len(w) >= 2:
+            if w[0] == w[1]:
+                continue
+            if w[0] == 1:
+                w, c = (0, 1) + w[2:], -c
+        folded[w] = folded.get(w, QQ(0)) + c
+    return tuple(sorted((w, c) for w, c in folded.items() if c != 0))
+
+
+@lru_cache(maxsize=None)
+def bernoulli_ratios(n_max: int) -> tuple[Fraction, ...]:
+    """B_n / n! for n = 0..n_max with B_1 = -1/2: the Taylor coefficients of
+    x / (e^x - 1), from sum_{k<=n} (B_k / k!) / (n - k + 1)! = [n = 0]."""
+    out = [QQ(1)]
+    for n in range(1, n_max + 1):
+        out.append(-sum(b / math.factorial(n - k + 1) for k, b in enumerate(out)))
+    return tuple(out)
+
+
 def bch_generic(x, y, bracket: Callable, add: Callable, scale: Callable, zero, max_len: int):
     """log(exp x exp y) for elements of adic order >= 1 in a Lie algebra
     truncated so that all brackets of weight > max_len vanish.
 
-    Each degree-n word contributes (c_w / n) times its left-nested bracketing
-    (Dynkin-Specht-Wever)."""
-    acc = zero
+    Sums d_w times the left-nested bracket of each folded Dynkin word of
+    ``bch_dynkin_words``.  A word's bracket is its prefix's bracketed with
+    the last letter, memoized per call; a prefix is computed even when its
+    own coefficient is 0, and a zero prefix makes its extensions zero with
+    no bracket."""
     letters = (x, y)
-    for w, c in bch_word_coefficients(max_len):
-        n = len(w)
-        if n == 1:
-            term = letters[w[0]]
-        else:
-            term = letters[w[0]]
-            dead = False
-            for idx in w[1:]:
-                term = bracket(term, letters[idx])
-                if term.is_zero():
-                    dead = True
-                    break
-            if dead:
-                continue
-        acc = add(acc, scale(Fraction(c, n), term))
+    nested = {(0,): x, (1,): y}
+
+    def left_nested(w):
+        if w not in nested:
+            prefix = left_nested(w[:-1])
+            nested[w] = prefix if prefix.is_zero() else bracket(prefix, letters[w[-1]])
+        return nested[w]
+
+    acc = zero
+    for w, c in bch_dynkin_words(max_len):
+        term = left_nested(w)
+        if not term.is_zero():
+            acc = add(acc, scale(c, term))
     return acc
 
 
@@ -490,34 +525,30 @@ def bch_many(elements: Sequence[DGLAElement], beta=None) -> DGLAElement:
 
 
 def _bch_directional(v: DGLAElement, y: DGLAElement, letter: int, beta) -> DGLAElement:
-    """Exact derivative of bch in one slot at 0: the part of
-    log(exp X exp Y) that is linear in the chosen letter, with the other
-    letter evaluated at y and the linear letter at v.
+    """Exact derivative of bch in one slot at 0, as one bracket chain:
 
-    letter 0: d/dt bch(t v, y) at t = 0;  letter 1: d/dt bch(y, t v)."""
+        letter 0:  d/dt bch(t v, y) at t = 0  =  sum_n  B_n / n!  ad_y^n (v)
+        letter 1:  d/dt bch(y, t v) at t = 0  =  sum_n (-1)^n B_n / n!  ad_y^n (v)
+
+    with B_1 = -1/2 and ad_y = [y, -] (the twisted bracket [d_beta y, -] in
+    degree -1).  The chain stops at n = order - 1, where bch's words stop,
+    or at the first zero term."""
+    v._check(y)
     if v.degree == 0:
-        br = lambda a, b: a.bracket(b)
+        ad_y = y.bracket
     elif v.degree == -1:
         if beta is None:
             raise AlgebraError("degree -1 BCH derivative needs the MC twist")
-        br = lambda a, b: twisted_bracket(beta, a, b)
+        ad_y = twisted_d(beta, y).bracket
     else:
         raise AlgebraError("BCH derivative on degree 0 or twisted degree -1")
-    acc = DGLAElement.zero(v.carrier, v.algebra, v.degree)
-    letters = {letter: v, 1 - letter: y}
-    for w, c in bch_word_coefficients(v.algebra.order):
-        if sum(1 for ch in w if ch == letter) != 1:
-            continue
-        term = letters[w[0]]
-        dead = False
-        for idx in w[1:]:
-            term = br(term, letters[idx])
-            if term.is_zero():
-                dead = True
-                break
-        if dead:
-            continue
-        acc = acc + term.scale(Fraction(c, len(w)))
+    acc = term = v
+    for n, b in enumerate(bernoulli_ratios(v.algebra.order - 1)[1:], start=1):
+        term = ad_y(term)
+        if term.is_zero():
+            break
+        if b:
+            acc = acc + term.scale(-b if letter and n % 2 else b)
     return acc
 
 

@@ -423,6 +423,17 @@ def _strings(obj, kind: type) -> bool:
     )
 
 
+def load_expression(ctx: ExprContext, obj: Mapping, key: str, degree: int) -> DGLAElement:
+    """Parse the expression string obj[key] as an element of the given
+    degree."""
+    text = obj.get(key)
+    _require(isinstance(text, str), f"{key} must be an expression string")
+    elt = parse_element(ctx, text)
+    kind = {"polyvec": "polyvector", "polydiff": "cochain"}[ctx.carrier_kind]
+    _require(elt.degree == degree, f"{key} expression must have {kind} degree {degree}")
+    return elt
+
+
 def load_params(obj: Mapping) -> ParamAlgebra:
     _require(isinstance(obj, dict), "params must be an object")
     gens = obj.get("gens")

@@ -33,6 +33,7 @@ from .dgla import (
     require_mc,
 )
 from .params import ParamAlgebra
+from .simplex import inversion_sign
 
 VecKey = tuple[int, ...]
 VecPayload = dict  # VecKey -> LocalizedPoly
@@ -43,10 +44,7 @@ def merge_odd(a: VecKey, b: VecKey) -> Optional[tuple[VecKey, int]]:
     the Koszul sign, or None when an index repeats."""
     if set(a) & set(b):
         return None
-    merged = tuple(sorted(a + b))
-    # sign = (-1)^{inversions between a and b in the concatenation}
-    inv = sum(1 for x in a for y in b if x > y)
-    return merged, (-1) ** inv
+    return tuple(sorted(a + b)), inversion_sign(a, b)
 
 
 class PolyvecCarrier(SparseCarrier):
@@ -157,14 +155,15 @@ class PolyvecCarrier(SparseCarrier):
         """Pairing of a bivector against two functions, normalized with the
         1/2 factor: (g1 ^ g2)(c1, c2) = 1/2 (g1(c1) g2(c2) - g1(c2) g2(c1)),
         matching the antisymmetrization embedding into cochains."""
+        if any(len(ks) != 2 for ks in x):
+            raise AlgebraError("wedge_eval expects a bivector")
+        used = {i for ks in x for i in ks}
+        d1 = {i: c1.derivative(i) for i in used}
+        d2 = {i: c2.derivative(i) for i in used}
         out = self.chart.zero()
-        for ks, f in x.items():
-            if len(ks) != 2:
-                raise AlgebraError("wedge_eval expects a bivector")
-            i, j = ks
-            val = c1.derivative(i) * c2.derivative(j) - c2.derivative(i) * c1.derivative(j)
-            out = out + (f * val).scale(Fraction(1, 2))
-        return out
+        for (i, j), f in x.items():
+            out = out + f * (d1[i] * d2[j] - d2[i] * d1[j])
+        return out.scale(Fraction(1, 2))
 
     def render(self, x: VecPayload, degree: int) -> str:
         if not x:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .exactalg import AlgebraError, Poly, QQ
 
@@ -156,15 +156,19 @@ class SimplexForm:
         return f"SimplexForm(q={self.q}, {self.render()!r})"
 
 
+def inversion_sign(a: Collection[int], b: Collection[int]) -> int:
+    """(-1)^(pairs x in a, y in b with x > y): the sign that sorts the
+    concatenation of two disjoint increasing index lists, i.e. of
+    e_a ^ e_b = sign * e_(a | b) for odd generators."""
+    return (-1) ** sum(1 for x in a for y in b if x > y)
+
+
 def wedge_sets(S1: frozenset, S2: frozenset):
     """dt_S1 ^ dt_S2 = sign * dt_(S1 | S2) as (S1 | S2, sign), each set in
     increasing order; None when they meet."""
     if S1 & S2:
         return None
-    a = sorted(S1)
-    b = sorted(S2)
-    inv = sum(1 for x in a for y in b if x > y)
-    return frozenset(S1 | S2), (-1) ** inv
+    return frozenset(S1 | S2), inversion_sign(S1, S2)
 
 
 def dirichlet_integral(exponents: Sequence[int], q: int) -> Fraction:

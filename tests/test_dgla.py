@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starcover import (
     AlgebraError,
@@ -24,7 +25,8 @@ from starcover import (
     twisted_bracket,
     twisted_d,
 )
-from starcover.dgla import bch_dleft, bch_dright
+from starcover.dgla import bch_dleft, bch_dright, bch_word_coefficients
+from starcover.polydiff import _moyal_exponential
 
 from conftest import rand_element
 
@@ -220,12 +222,9 @@ def test_bch_inverse_and_commuting():
 def test_bch_star_realization():
     # exp_star(x) exp_star(y) = exp_star(bch_beta(x, y)) in A_beta, order 4
     R = param_algebra_truncate(["hbar"], 4)
-    from starcover.polydiff import _moyal_exponential, StarProduct
+    from starcover.polydiff import StarProduct
 
-    vcar = PolyvecCarrier(C2)
-    pi = vcar.term((0, 1), C2.one())
-    beta = _moyal_exponential(PolydiffCarrier(C2), DGLAElement.single(vcar, R, 1, 1, pi))
-    S = StarProduct(require_mc(beta))
+    S = StarProduct(require_mc(moyal_beta(R)))
     car = S.carrier
     rng = random.Random(3)
     x = rand_element(rng, car, R, -1, minorder=1, kind="polydiff")
@@ -235,8 +234,139 @@ def test_bch_star_realization():
     assert lhs == rhs
 
 
+def moyal_beta(R):
+    vcar = PolyvecCarrier(C2)
+    pi = vcar.term((0, 1), C2.one())
+    return _moyal_exponential(PolydiffCarrier(C2), DGLAElement.single(vcar, R, 1, 1, pi))
+
+
+# The word-by-word BCH: every word of log(exp X exp Y) brackets out alone,
+# left-nested, with weight c_w / |w|.  It is the oracle of the folded Dynkin
+# words of ``bch`` and of the Bernoulli chain of ``bch_dleft``/``bch_dright``.
+
+
+def _left_nested(word, letters, br):
+    term = letters[word[0]]
+    for idx in word[1:]:
+        term = br(term, letters[idx])
+        if term.is_zero():
+            return None
+    return term
+
+
+def _oracle_br(x, beta):
+    if x.degree == 0:
+        return lambda a, b: a.bracket(b)
+    return lambda a, b: twisted_bracket(beta, a, b)
+
+
+def oracle_bch(x, y, beta=None):
+    br = _oracle_br(x, beta)
+    acc = DGLAElement.zero(x.carrier, x.algebra, x.degree)
+    for w, c in bch_word_coefficients(x.algebra.order):
+        term = _left_nested(w, (x, y), br)
+        if term is not None:
+            acc = acc + term.scale(Fraction(c, len(w)))
+    return acc
+
+
+def oracle_bch_directional(v, y, letter, beta=None):
+    """The words linear in the chosen letter, that letter set to v and the
+    other to y."""
+    br = _oracle_br(v, beta)
+    letters = {letter: v, 1 - letter: y}
+    acc = DGLAElement.zero(v.carrier, v.algebra, v.degree)
+    for w, c in bch_word_coefficients(v.algebra.order):
+        if w.count(letter) != 1:
+            continue
+        term = _left_nested(w, letters, br)
+        if term is not None:
+            acc = acc + term.scale(Fraction(c, len(w)))
+    return acc
+
+
+def _bch_case(rng, order, case):
+    """Two logarithms of adic order exactly 1 and the twist for one case:
+    degree 0 on polyvectors, degree -1 on polyvectors twisted by the so(3)
+    bivector, or degree -1 on cochains twisted by the Moyal star."""
+    R = param_algebra_truncate(["hbar"], order)
+    if case == "polyvec-0":
+        beta, degree, kind = None, 0, "polyvec"
+        car = PolyvecCarrier(C3)
+    else:
+        beta = require_mc(so3_beta(R) if case == "polyvec-twisted" else moyal_beta(R))
+        degree, kind = -1, case.split("-")[0]
+        car = beta.element.carrier
+
+    def draw():
+        while True:
+            e = rand_element(rng, car, R, degree, minorder=1, kind=kind, maxdeg=1 + (degree < 0))
+            if e.adic_order() == 1:
+                return e
+
+    return draw(), draw(), beta
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(2, 5),
+    st.sampled_from(["polyvec-0", "polyvec-twisted", "polydiff-moyal"]),
+)
+def test_bch_matches_the_word_by_word_oracle(seed, order, case):
+    x, y, beta = _bch_case(random.Random(seed), order, case)
+    assert bch(x, y, beta=beta) == oracle_bch(x, y, beta)
+    assert bch_dleft(x, y, beta=beta) == oracle_bch_directional(x, y, 0, beta)
+    assert bch_dright(x, y, beta=beta) == oracle_bch_directional(x, y, 1, beta)
+
+
+def test_bch_oracle_cases_are_not_trivial():
+    # at order 5 the twisted chain of a seeded case reaches its second
+    # bracket, so the oracle comparison above sees more than [x, y]
+    for case in ("polyvec-twisted", "polydiff-moyal"):
+        x, y, beta = _bch_case(random.Random(0), 5, case)
+        dy = twisted_d(beta, y)
+        assert not dy.bracket(dy.bracket(x)).is_zero()
+
+
+@pytest.fixture
+def bracket_calls(monkeypatch):
+    calls = []
+    inner = DGLAElement.bracket
+
+    def counted(self, other):
+        calls.append(1)
+        return inner(self, other)
+
+    monkeypatch.setattr(DGLAElement, "bracket", counted)
+    return calls
+
+
+def test_bch_at_order_two_makes_one_bracket(bracket_calls):
+    R = param_algebra_truncate(["hbar"], 2)
+    car = PolyvecCarrier(C3)
+    x = DGLAElement.single(car, R, 0, 1, car.vector_field({0: C3.var("y")}))
+    y = DGLAElement.single(car, R, 0, 1, car.vector_field({1: C3.var("x")}))
+    out = bch(x, y)
+    assert len(bracket_calls) == 1
+    assert out == oracle_bch(x, y)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_bch_derivative_makes_at_most_order_brackets(bracket_calls, order):
+    # v at adic order 0 keeps every term of the chain alive
+    R = param_algebra_truncate(["hbar"], order)
+    car = PolyvecCarrier(C3)
+    v = DGLAElement.single(car, R, 0, 0, car.vector_field({0: C3.var("y")}))
+    y = DGLAElement.single(car, R, 0, 1, car.vector_field({1: C3.var("x")}))
+    for derivative in (bch_dleft, bch_dright):
+        del bracket_calls[:]
+        derivative(v, y)
+        assert len(bracket_calls) <= order
+
+
 def test_bch_directional_derivatives():
-    # finite-lambda extraction agrees with the word-filtered derivative
+    # finite-lambda extraction agrees with the Bernoulli chain
     R = param_algebra_truncate(["hbar"], 3)
     car = PolyvecCarrier(C3)
     rng = random.Random(13)

@@ -340,6 +340,30 @@ def test_cli_octahedron_datum_of_either_kind_loads(tmp_path, kind):
     assert _run([f"check-{kind}", str(path)])[0] == 0
 
 
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("quantize", lambda obj: obj.update(bivector=5), "bivector must be an expression string"),
+        ("quantize", lambda obj: obj.pop("bivector"), "bivector must be an expression string"),
+        ("star-table", lambda obj: obj.update(kind="star", beta=7), "beta must be an expression string"),
+        ("quantize", lambda obj: obj.update(bivector="hbar * x*dx"),
+         "bivector expression must have polyvector degree 1"),
+        ("star-table", lambda obj: obj.update(kind="star", beta="hbar * x"),
+         "beta expression must have cochain degree 1"),
+        ("star-table", lambda obj: obj.update(kind="star", schema=2), "schema must be 1"),
+    ],
+    ids=["bivector-int", "bivector-missing", "beta-int", "bivector-degree-0", "beta-degree-minus-1",
+         "star-schema-2"],
+)
+def test_cli_mistyped_poisson_input(tmp_path, capsys, command, edit, message):
+    obj = json.loads((DATA / "so3.json").read_text(encoding="utf-8"))
+    edit(obj)
+    path = tmp_path / "poisson.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
 def _edit_face(label, **chart):
     return lambda obj: obj["nerve"]["faces"][label].update(chart)
 

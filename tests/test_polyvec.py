@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from starcover import (
     require_mc,
     schouten,
 )
-from starcover.polyvec import PoissonStructure, function_element
+from starcover.polyvec import PoissonStructure, function_element, merge_odd
+from starcover.simplex import wedge_sets
 
 from conftest import rand_element, rand_poly
 
@@ -108,6 +110,53 @@ def test_wedge_eval_biderivation(rng):
         lhs = car.wedge_eval(pay, a * b, c)
         rhs = a * car.wedge_eval(pay, b, c) + b * car.wedge_eval(pay, a, c)
         assert lhs == rhs
+
+
+def test_wedge_eval_matches_the_per_key_formula(rng):
+    # the formula key by key, each argument differentiated twice per key:
+    # same value and same Poly term order, over Q[x,y,z] and Q[x,y,z,1/x]
+    CL = ChartAlgebra(("x", "y", "z"), (Poly.var(("x", "y", "z"), "x"),))
+    for chart in (C3, CL):
+        car = PolyvecCarrier(chart)
+        for _ in range(40):
+            pay = {}
+            while not pay:
+                pay = rand_element(rng, car, param_algebra_truncate(["hbar"], 1), 1).parts.get(0, {})
+            c1, c2 = (rand_poly(rng, chart, 3, 4) for _ in range(2))
+            if chart is CL:
+                c1 = c1 * chart.var("x").invert()
+            want = chart.zero()
+            for (i, j), f in pay.items():
+                val = c1.derivative(i) * c2.derivative(j) - c2.derivative(i) * c1.derivative(j)
+                want = want + (f * val).scale(Fraction(1, 2))
+            got = car.wedge_eval(pay, c1, c2)
+            assert got == want
+            assert list(got.numer.terms.items()) == list(want.numer.terms.items())
+
+
+def test_merge_odd_and_wedge_sets_share_the_sorting_sign():
+    # the sign is the parity of the bubble sort of the concatenation
+    def bubble_sign(seq):
+        seq, sign = list(seq), 1
+        for end in range(len(seq) - 1, 0, -1):
+            for k in range(end):
+                if seq[k] > seq[k + 1]:
+                    seq[k], seq[k + 1] = seq[k + 1], seq[k]
+                    sign = -sign
+        return sign
+
+    for a_size in range(4):
+        for a in itertools.combinations(range(5), a_size):
+            for b_size in range(4):
+                for b in itertools.combinations(range(5), b_size):
+                    merged = merge_odd(a, b)
+                    wedge = wedge_sets(frozenset(a), frozenset(b))
+                    if set(a) & set(b):
+                        assert merged is None and wedge is None
+                        continue
+                    sign = bubble_sign(a + b)
+                    assert merged == (tuple(sorted(a + b)), sign)
+                    assert wedge == (frozenset(a + b), sign)
 
 
 def test_poisson_from_mc_values():
