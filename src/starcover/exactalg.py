@@ -685,10 +685,6 @@ def _kernel_basis(aug, pivots: list[int], ncols: int, rank: int) -> list[list[Fr
     return basis
 
 
-def matvec(matrix: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((a * x for a, x in zip(row, v)), QQ(0)) for row in matrix]
-
-
 @dataclass
 class ExactSolution:
     """Solution of an `ExactSystem`, keyed by its column keys.

@@ -439,30 +439,29 @@ def _basis_function(car: PolydiffCarrier, alg: ParamAlgebra, key) -> DGLAElement
     return function_element(car, alg, mono)
 
 
-def associativity_oracle(star: StarProduct, degree: int) -> list:
-    """Independent route: evaluate (a*b)*c - a*(b*c) on all monomial triples
-    of total degree <= degree; returns the failing triples.  This is a
-    cross-check of the MC route (which is the exact proof of associativity),
-    evaluated purely through operator application.
+class _LocalizedProducts(dict):
+    """The oracle's product table on a chart that declares denominators:
+    {(key u, key v): u * v} for basis functions x^e/d^p, keyed by (p, e),
+    filled by ``StarProduct.product``.  The derivatives of x^e/d^p are not
+    monomials, so there is no closed form here."""
 
-    The star product is applied once per pair of basis functions x^e/d^p
-    (keys (p, e)); each side of a triple is expanded from that table by
-    R-bilinearity: (a*b)*c is the sum over the terms q r_i x^e/d^p of a*b of
-    q r_i (x^e/d^p * c).  A product may leave the degree <= ``degree``
-    monomials, so the table is keyed by exponents and filled lazily."""
-    car, alg = star.carrier, star.algebra
-    table: dict = {}
+    def __init__(self, star: StarProduct):
+        super().__init__()
+        self.star = star
 
-    def times(u, v) -> DGLAElement:
-        out = table.get((u, v))
-        if out is None:
-            out = table[(u, v)] = star.product(
-                _basis_function(car, alg, u), _basis_function(car, alg, v)
-            )
+    @staticmethod
+    def key(m: LocalizedPoly):
+        return (m.powers, next(iter(m.numer.terms)))
+
+    def __missing__(self, pair):
+        car, alg = self.star.carrier, self.star.algebra
+        u, v = (_basis_function(car, alg, k) for k in pair)
+        out = self[pair] = self.star.product(u, v)
         return out
 
-    def expand(x: DGLAElement, apply: Callable) -> DGLAElement:
+    def expand(self, x: DGLAElement, apply: Callable) -> DGLAElement:
         # sum of q r_i apply((p, e)) over the terms q r_i x^e/d^p of x
+        car, alg = x.carrier, x.algebra
         acc: dict = {}
         for i, payload in x.parts.items():
             c = payload[()]
@@ -475,12 +474,97 @@ def associativity_oracle(star: StarProduct, degree: int) -> list:
                     acc[k] = acc[k] + v if k in acc else v
         return DGLAElement(car, alg, -1, {k: car.from_coeff(v) for k, v in acc.items()})
 
-    key = lambda m: (m.powers, next(iter(m.numer.terms)))
+
+class _MonomialProducts(dict):
+    """The oracle's product table on a chart with no denominators:
+    {(a, b): x^a * x^b} for exponents a, b.  An entry is {(basis index,
+    exponent): int}, scaled by ``denom``, one common denominator of beta's
+    coefficients, with no zero values.  In closed form, x^a * x^b is x^(a+b)
+    at index 0 plus, for each term f d^al1 (x) d^al2 of beta at index i, the
+    term (a)_al1 (b)_al2 f x^(a - al1 + b - al2) at index i, where (a)_al is
+    the falling factorial and slot position k differentiates the chart
+    variable ``deriv_indices[k]``."""
+
+    def __init__(self, star: StarProduct):
+        super().__init__()
+        car, alg = star.carrier, star.algebra
+        parts = star.beta.element.parts
+        coeffs = [f.numer.terms for pay in parts.values() for f in pay.values()]
+        self.denom = D = math.lcm(1, *(q.denominator for t in coeffs for q in t.values()))
+
+        def orders(alpha: Exponent) -> tuple:  # (chart variable, order) per nonzero entry
+            return tuple((car.deriv_indices[pos], k) for pos, k in enumerate(alpha) if k)
+
+        scaled = lambda f: [(e, q.numerator * (D // q.denominator)) for e, q in f.numer.terms.items()]
+        self.terms = [  # (index, slot 1 orders, slot 2 orders, D * f as (exponent, int))
+            (i, orders(al1), orders(al2), scaled(f))
+            for i, pay in parts.items()
+            for (al1, al2), f in pay.items()
+        ]
+        n = len(alg.basis)
+        self.mul = [[alg.mul_index(i, j) for j in range(n)] for i in range(n)]
+
+    @staticmethod
+    def key(m: LocalizedPoly) -> Exponent:
+        return next(iter(m.numer.terms))
+
+    def __missing__(self, pair):
+        a, b = pair
+        ab = [x + y for x, y in zip(a, b)]
+        out = {(0, tuple(ab)): self.denom}
+        for i, d1, d2, fterms in self.terms:
+            w = 1
+            for var, k in d1:
+                w *= math.perm(a[var], k)
+            for var, k in d2:
+                w *= math.perm(b[var], k)
+            if not w:
+                continue
+            base = list(ab)
+            for var, k in d1 + d2:
+                base[var] -= k
+            for e, q in fterms:
+                t = (i, tuple(x + y for x, y in zip(base, e)))
+                out[t] = out.get(t, 0) + w * q
+        out = self[pair] = {t: v for t, v in out.items() if v}
+        return out
+
+    def expand(self, x: dict, apply: Callable) -> dict:
+        # sum of q r_i apply(e) over the terms q r_i x^e of x, zeros dropped
+        acc: dict = {}
+        for (i, e), q in x.items():
+            row = self.mul[i]
+            for (j, e2), q2 in apply(e).items():
+                k = row[j]
+                if k is not None:
+                    acc[k, e2] = acc.get((k, e2), 0) + q * q2
+        return {t: v for t, v in acc.items() if v}
+
+
+def associativity_oracle(star: StarProduct, degree: int) -> list:
+    """Independent route: evaluate (a*b)*c - a*(b*c) on all monomial triples
+    of total degree <= degree; returns the failing triples.  This is a
+    cross-check of the MC route (which is the exact proof of associativity),
+    evaluated purely through operator application.
+
+    The star product of each pair of basis functions is computed once, into a
+    table; each side of a triple is expanded from that table by
+    R-bilinearity: (a*b)*c is the sum over the terms q r_i x^e of a*b of
+    q r_i (x^e * c).  A product may leave the degree <= ``degree`` monomials,
+    so the table is keyed by exponents and filled lazily.  On a polynomial
+    chart the table holds x^a * x^b in closed form with integer values over
+    one common denominator D (`_MonomialProducts`); both sides of a triple
+    then carry the same factor D^2, so comparing them decides the triple
+    exactly.  On a chart that declares denominators the basis functions are
+    x^e/d^p, whose derivatives are not monomials, so the table is filled by
+    ``star.product`` instead (`_LocalizedProducts`)."""
+    chart = star.carrier.chart
+    table = (_LocalizedProducts if chart.denominators else _MonomialProducts)(star)
     failures = []
-    for a, b, c in monomial_triples(car.chart, degree):
-        ka, kb, kc = key(a), key(b), key(c)
-        lhs = expand(times(ka, kb), lambda t: times(t, kc))
-        rhs = expand(times(kb, kc), lambda t: times(ka, t))
+    for a, b, c in monomial_triples(chart, degree):
+        ka, kb, kc = table.key(a), table.key(b), table.key(c)
+        lhs = table.expand(table[ka, kb], lambda t: table[t, kc])
+        rhs = table.expand(table[kb, kc], lambda t: table[ka, t])
         if lhs != rhs:
             failures.append((a.render(), b.render(), c.render()))
     return failures
@@ -518,7 +602,10 @@ def star_from_mc(beta: DGLAElement | MCElement, cert_degree: Optional[int] = Non
     star = StarProduct(mc)
     failures = associativity_oracle(star, degree)
     if failures:
-        raise AlgebraError("MC held but associativity oracle failed: convention bug")
+        raise AlgebraError(
+            f"MC held but associativity oracle failed on {len(failures)} monomial triples "
+            f"of degree <= {degree}, first ({', '.join(failures[0])}): convention bug"
+        )
     return star
 
 

@@ -10,12 +10,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from .exactalg import ChartAlgebra, LocalizedPoly, Poly
+from .exactalg import AlgebraError, ChartAlgebra, LocalizedPoly, Poly
 from .params import param_algebra_truncate
-from .dgla import DGLAElement, MCElement, mc_check, require_mc
+from .dgla import DGLAElement, MCCheckError, MCElement, MCViolation, mc_check, require_mc
 from .polyvec import PolyvecCarrier, poisson_from_mc
 from .polydiff import (
     PolydiffCarrier,
+    StarProduct,
+    associativity_oracle,
     first_order_bracket,
     first_order_tables_equal,
     function_element,
@@ -227,5 +229,25 @@ def run(seed: int = 0) -> list[dict]:
         assert cert2.holds and S2b.beta.element == S2.beta.element
 
     check("star gauge recovery round trip", gauge_recovery)
+
+    def oracle_rejects_non_mc():
+        bad = _rand_polydiff(rng, dcar, alg, 1, minorder=1)
+        while not isinstance(mc_check(bad), MCViolation):
+            bad = _rand_polydiff(rng, dcar, alg, 1, minorder=1)
+        failures = associativity_oracle(StarProduct(MCElement(bad)), 4)
+        assert failures
+
+        def error(beta):
+            try:
+                star_from_mc(beta)
+            except AlgebraError as exc:
+                return exc
+            raise AssertionError("star_from_mc accepted a non-MC cochain")
+
+        # the MC route rejects it, and so does the oracle when MC is asserted
+        assert isinstance(error(bad), MCCheckError)
+        assert f"failed on {len(failures)} monomial triples" in str(error(MCElement(bad)))
+
+    check("associativity oracle rejects a non-MC cochain", oracle_rejects_non_mc)
 
     return out

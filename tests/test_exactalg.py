@@ -5,11 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from starcover import AlgebraError, ChartAlgebra, LocalizedPoly, Poly, solve_linear
-from starcover.exactalg import ExactSystem, matvec
+from starcover.exactalg import ExactSystem
 
 from conftest import rand_poly
 
 XY = ("x", "y")
+
+
+def matvec(matrix, v):
+    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in matrix]
 
 
 def P(text_terms):

@@ -33,6 +33,8 @@ from starcover import (
     star_from_mc,
     star_gauge,
 )
+from starcover import polydiff
+from starcover.cechnerve import extend_chart
 from starcover.polydiff import (
     StarProduct,
     _candidate_slots,
@@ -350,6 +352,24 @@ def test_mc_iff_associativity_both_directions(rng):
     assert associativity_oracle(moyal_star(2), 4) == []
 
 
+def test_star_from_mc_names_the_failing_triples():
+    # an MCElement is trusted, so only the oracle stands between this non-MC
+    # cochain and a star product; its error counts the failing triples and
+    # shows the first one as rendered monomials
+    R = param_algebra_truncate(["hbar"], 2)
+    car = PolydiffCarrier(C2)
+    bad = DGLAElement.single(car, R, 1, 1, car.term(((2, 0), (0, 1)), C2.var("x")))
+    failures = associativity_oracle(StarProduct(MCElement(bad)), 4)
+    assert len(failures) == 7 and failures[0] == ("x", "x", "y")
+    with pytest.raises(AlgebraError) as exc:
+        star_from_mc(MCElement(bad))
+    assert not isinstance(exc.value, MCCheckError)
+    assert str(exc.value) == (
+        "MC held but associativity oracle failed on 7 monomial triples of degree <= 4, "
+        "first (x, x, y): convention bug"
+    )
+
+
 def per_triple_oracle(star, degree):
     """The associativity check without the product table: four star products
     from scratch per monomial triple, compared as elements."""
@@ -374,13 +394,21 @@ def _localize(rng, element):
 def test_associativity_oracle_matches_per_triple_route(rng):
     # seeded non-MC cochains (coefficient degree up to 3, above the slot
     # weight, so products leave the oracle's monomials) over Q[x, y], over
-    # Q[x, y, 1/x], and over a two-generator parameter algebra
+    # Q[x, y, 1/x], over Q[x, y, z], over Q[x, y, t1] differentiating x and y
+    # only and over Q[x, y, z] differentiating y and z only (slot position k
+    # is chart variable deriv_indices[k]), and over hbar^2, hbar^3 and a
+    # two-generator parameter algebra
     hbar2 = param_algebra_truncate(["hbar"], 2)
+    hbar3 = param_algebra_truncate(["hbar"], 3)
     st2 = param_algebra_truncate(["s", "t"], 2)
-    cases = [(C2, hbar2, False)] * 6 + [(CX, hbar2, True)] * 4 + [(C2, st2, False)] * 4
+    CT = extend_chart(C2, 1)
+    cases = [(PolydiffCarrier(C2), hbar2, False)] * 6 + [(PolydiffCarrier(CX), hbar2, True)] * 4
+    cases += [(PolydiffCarrier(C2), st2, False)] * 4
+    cases += [(PolydiffCarrier(C3), hbar2, False)] * 2 + [(PolydiffCarrier(C2), hbar3, False)] * 2
+    cases += [(PolydiffCarrier(CT, (0, 1)), hbar2, False), (PolydiffCarrier(CT, (0, 1)), st2, False)]
+    cases += [(PolydiffCarrier(C3, (1, 2)), hbar2, False)] * 2
     failing = []
-    for chart, R, localize in cases:
-        car = PolydiffCarrier(chart)
+    for car, R, localize in cases:
         beta = DGLAElement.zero(car, R, 1)
         while not isinstance(mc_check(beta), MCViolation):
             beta = rand_element(rng, car, R, 1, minorder=1, kind="polydiff", maxdeg=3)
@@ -391,19 +419,35 @@ def test_associativity_oracle_matches_per_triple_route(rng):
         assert associativity_oracle(star, 4) == expected
         failing.append(len(expected))
     assert all(failing)
-    assert associativity_oracle(moyal_star(2, CX), 4) == per_triple_oracle(moyal_star(2, CX), 4) == []
+    # MC cochains: both routes find no failing triple
+    vcar = PolyvecCarrier(CT, (0, 1))
+    pi = DGLAElement.single(vcar, hbar2, 1, 1, vcar.term((0, 1), CT.var("t1")))
+    moyal_t = StarProduct(require_mc(_moyal_exponential(PolydiffCarrier(CT, (0, 1)), pi)))
+    for star in [
+        moyal_star(2),
+        moyal_star(3),
+        moyal_star(2, CX),
+        moyal_t,
+        quantize_affine_order2(so3_structure(2)),
+    ]:
+        assert associativity_oracle(star, 4) == per_triple_oracle(star, 4) == []
 
 
 def test_associativity_oracle_one_product_per_pair(monkeypatch):
+    # one product-table entry per monomial pair: so(3)'s star product keeps
+    # every product of degree <= 4, so the table holds the 210 monomial pairs
+    # of total degree <= 4 in three variables (715 triples)
     S = quantize_affine_order2(so3_structure(2))
-    calls = []
-    original = StarProduct.product
-    monkeypatch.setattr(
-        StarProduct, "product", lambda self, u, v: calls.append(1) or original(self, u, v)
-    )
+    tables = []
+
+    class Recording(polydiff._MonomialProducts):
+        def __init__(self, star):
+            super().__init__(star)
+            tables.append(self)
+
+    monkeypatch.setattr(polydiff, "_MonomialProducts", Recording)
     assert associativity_oracle(S, 4) == []
-    # 715 triples, 210 monomial pairs of total degree <= 4 in three variables
-    assert len(calls) == 210
+    assert len(tables) == 1 and len(tables[0]) == 210
 
 
 @pytest.mark.parametrize("chart", [C2, CX], ids=["polynomial", "localized"])
