@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .exactalg import AlgebraError, ExactSystem, QQ
 from .params import ParamAlgebra
@@ -26,8 +26,8 @@ from .dgla import (
     ad_exp,
     bch,
     bch_many,
-    exp_series,
     gauge_act,
+    gauge_operator,
     mc_residue,
     require_mc,
     twisted_d,
@@ -43,7 +43,7 @@ from .cechnerve import (
 from .polyvec import PolyvecCarrier, poisson_from_mc
 from .polydiff import (
     PolydiffCarrier,
-    apply_cochain,
+    _candidate_slots,
     monomial_basis,
     star_from_mc,
     sufficient_cert_degree,
@@ -77,15 +77,6 @@ def move(nerve: CoverNerve, flavor: str, f: Face, g: Face, elt: DGLAElement) -> 
     return elt.map_payload(
         lambda pay: transport_payload(nerve, kind_of(flavor), f, g, pay), carrier=car
     )
-
-
-def gauge_operator(flavor: str, log: DGLAElement) -> Callable[[DGLAElement], DGLAElement]:
-    """exp of the degree-0 log acting on R (x) C elements."""
-    if flavor == "associative":
-        step = lambda u: apply_cochain(log, [u])
-    else:
-        step = lambda u: log.bracket(u)
-    return lambda u: exp_series(step, u)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +186,15 @@ def _get(data: Mapping, nerve, flavor, algebra, face, degree) -> DGLAElement:
     return v
 
 
+def _datum_components(datum):
+    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
+    if isinstance(datum, MultDescentDatum):
+        loc = {k: datum.locals[k].element for k in nerve.level_faces(0)}
+        return loc, datum.edge_gauges, datum.triple_units
+    loc = {k: _get(datum.delta0, nerve, flavor, alg, k, 1) for k in nerve.level_faces(0)}
+    return loc, datum.delta1, datum.delta2
+
+
 def _record(violations, condition, face, defect: DGLAElement):
     if not defect.is_zero():
         order = int(defect.adic_order())
@@ -287,10 +287,10 @@ def check_mdd(datum: MultDescentDatum, cert_degree: Optional[int] = None) -> Che
             degree = sufficient_cert_degree(
                 [g01, g02, g12, ig_log, datum.locals[k0].element], cert_degree
             )
-        F01 = gauge_operator(flavor, g01)
-        F12 = gauge_operator(flavor, g12)
-        F20 = gauge_operator(flavor, -g02)
-        IG = gauge_operator(flavor, ig_log)
+        F01 = gauge_operator(g01)
+        F12 = gauge_operator(g12)
+        F20 = gauge_operator(-g02)
+        IG = gauge_operator(ig_log)
         for m in monomial_basis(face_carrier(nerve, flavor, t), alg, degree):
             diff = F20(F12(F01(m))) - IG(m)
             if not diff.is_zero():
@@ -337,10 +337,10 @@ def exp_add(datum: AddDescentDatum, check: bool = True, cert_degree: Optional[in
 # ---------------------------------------------------------------------------
 
 
-def _transformed_components(
-    nerve, flavor, alg, locals_like: Mapping, edges: Mapping, triples: Mapping, t: TwistedTransformation
-):
+def _transformed_components(t: TwistedTransformation, datum):
     """Shared machinery of mdd_gauge / add_gauge on logarithms."""
+    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
+    locals_like, edges, triples = _datum_components(datum)
     new_locals = {}
     for k in nerve.level_faces(0):
         eta = t.eta[k]
@@ -373,22 +373,13 @@ def _transformed_components(
 
 
 def mdd_gauge(t: TwistedTransformation, datum: MultDescentDatum) -> MultDescentDatum:
-    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
-    locals_like = {k: datum.locals[k].element for k in nerve.level_faces(0)}
-    nl, ne, nt = _transformed_components(
-        nerve, flavor, alg, locals_like, datum.edge_gauges, datum.triple_units, t
-    )
+    nl, ne, nt = _transformed_components(t, datum)
     new_locals = {k: require_mc(v) for k, v in nl.items()}
-    return MultDescentDatum(nerve, flavor, alg, new_locals, ne, nt)
+    return MultDescentDatum(datum.nerve, datum.flavor, datum.algebra, new_locals, ne, nt)
 
 
 def add_gauge(t: TwistedTransformation, datum: AddDescentDatum) -> AddDescentDatum:
-    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
-    locals_like = {k: _get(datum.delta0, nerve, flavor, alg, k, 1) for k in nerve.level_faces(0)}
-    nl, ne, nt = _transformed_components(
-        nerve, flavor, alg, locals_like, datum.delta1, datum.delta2, t
-    )
-    return AddDescentDatum(nerve, flavor, alg, nl, ne, nt)
+    return AddDescentDatum(datum.nerve, datum.flavor, datum.algebra, *_transformed_components(t, datum))
 
 
 def invert_transformation(
@@ -409,11 +400,8 @@ def compose_transformations(
     t2: TwistedTransformation, t1: TwistedTransformation, datum: "MultDescentDatum | AddDescentDatum"
 ) -> TwistedTransformation:
     """Composite `apply t1 then t2` on logarithms."""
-    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
-    if isinstance(datum, MultDescentDatum):
-        locals_like = {k: datum.locals[k].element for k in nerve.level_faces(0)}
-    else:
-        locals_like = {k: _get(datum.delta0, nerve, flavor, alg, k, 1) for k in nerve.level_faces(0)}
+    nerve, flavor = datum.nerve, datum.flavor
+    locals_like = _datum_components(datum)[0]
     eta = {}
     for k in nerve.level_faces(0):
         eta[k] = bch(t2.eta[k], t1.eta[k])
@@ -456,32 +444,14 @@ class LayerWindow:
 
     def atoms(self, face: Face, degree: int) -> list:
         car = face_carrier(self.nerve, self.flavor, face)
-        chart = car.chart
-        monos = chart.monomials_up_to(self.coeff_degree)
-        out = []
+        monos = car.chart.monomials_up_to(self.coeff_degree)
         if degree == -1:
-            for m in monos:
-                out.append({(): m})
-            return out
+            return [{(): m} for m in monos]
         if self.flavor == "poisson":
-            n = len(car.deriv_indices)
-            if degree == 0:
-                keys = [(i,) for i in car.deriv_indices]
-            elif degree == 1:
-                keys = list(itertools.combinations(car.deriv_indices, 2))
-            else:
-                raise AlgebraError("unsupported atom degree")
-            for key in keys:
-                for m in monos:
-                    out.append({key: m})
-            return out
-        # associative: normalized slot tuples
-        from .polydiff import _candidate_slots
-
-        for slots in _candidate_slots(car.nderiv, self.slot_bound * (degree + 1), degree + 1):
-            for m in monos:
-                out.append({slots: m})
-        return out
+            keys = itertools.combinations(car.deriv_indices, degree + 1)
+        else:  # normalized slot tuples
+            keys = _candidate_slots(car.nderiv, self.slot_bound * (degree + 1), degree + 1)
+        return [{key: m} for key in keys for m in monos]
 
     def coords(self, face: Face, payload) -> dict:
         """{(payload key, exponent) -> Fraction}; errors leaving the window."""
@@ -552,15 +522,6 @@ def _slot_bound(defects: Iterable[DGLAElement], default: int = 2) -> int:
 # ---------------------------------------------------------------------------
 # equiv_solve and obstruction
 # ---------------------------------------------------------------------------
-
-
-def _datum_components(datum):
-    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
-    if isinstance(datum, MultDescentDatum):
-        loc = {k: datum.locals[k].element for k in nerve.level_faces(0)}
-        return loc, datum.edge_gauges, datum.triple_units
-    loc = {k: _get(datum.delta0, nerve, flavor, alg, k, 1) for k in nerve.level_faces(0)}
-    return loc, datum.delta1, datum.delta2
 
 
 def _apply(t, datum):

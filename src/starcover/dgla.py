@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
-from .exactalg import AlgebraError, QQ
+from .exactalg import AlgebraError, ChartAlgebra, LocalizedPoly, QQ
 from .params import INFINITY, ParamAlgebra, ParamSeries
 
 
@@ -63,7 +63,62 @@ class Carrier:
 
 class SparseCarrier(Carrier):
     """Payloads {key -> coefficient}: the polyvector and polydifferential
-    carriers, whose coefficients are LocalizedPolys."""
+    chart carriers, whose coefficients are LocalizedPolys and whose
+    ``deriv_indices`` list the chart variables they differentiate (others,
+    such as simplex coordinates, are inert scalars).  A function is the
+    degree -1 payload {(): c}.  Each subclass supplies the text of one key
+    (``_render_key``) and the action of a degree-0 logarithm on a function
+    (``act_once``)."""
+
+    def __init__(self, chart: ChartAlgebra, deriv_indices: Optional[Sequence[int]] = None):
+        self.chart = chart
+        if deriv_indices is None:
+            deriv_indices = range(len(chart.variables))
+        self.deriv_indices = tuple(deriv_indices)
+
+    def __eq__(self, other):
+        # the two flavours over one chart stay unequal
+        return (
+            type(other) is type(self)
+            and self.chart == other.chart
+            and self.deriv_indices == other.deriv_indices
+        )
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.chart, self.deriv_indices))
+
+    def from_coeff(self, c: LocalizedPoly):
+        if c.is_zero():
+            return {}
+        return {(): c}
+
+    def _render_key(self, key) -> str:
+        raise NotImplementedError
+
+    def act_once(self, log: "DGLAElement", u: "DGLAElement") -> "DGLAElement":
+        """One application of the degree-0 logarithm ``log`` to the function
+        element ``u``."""
+        raise NotImplementedError
+
+    def render(self, x, degree: int) -> str:
+        if not x:
+            return "0"
+        chunks = []
+        for key in sorted(x):
+            c = x[key]
+            body = self._render_key(key)
+            cs = c.render()
+            if not key:
+                chunks.append(cs)
+            elif cs == "1":
+                chunks.append(body)
+            elif cs == "-1":
+                chunks.append(f"-{body}")
+            else:
+                if len(c.numer.terms) > 1:
+                    cs = f"({cs})"
+                chunks.append(f"{cs}*{body}")
+        return " + ".join(chunks).replace("+ -", "- ")
 
     def eq(self, x, y) -> bool:
         return x == y
@@ -265,6 +320,13 @@ class DGLAElement:
         return f"DGLAElement(deg={self.degree}, {self.render()!r})"
 
 
+def function_element(
+    carrier: SparseCarrier, algebra: ParamAlgebra, value: LocalizedPoly, basis_index: int = 0
+) -> DGLAElement:
+    """Wrap a chart function as the degree -1 element r_i (x) value."""
+    return DGLAElement.single(carrier, algebra, -1, basis_index, carrier.from_coeff(value))
+
+
 @dataclass(frozen=True)
 class MCElement:
     """Degree-1 element with adic order >= 1 satisfying d(b) + 1/2 [b,b] = 0."""
@@ -386,6 +448,14 @@ def exp_series(apply_once: Callable[[DGLAElement], DGLAElement], x: DGLAElement)
         k += 1
         term = apply_once(term).scale(Fraction(1, k))
     return acc
+
+
+def gauge_operator(log: DGLAElement) -> Callable[[DGLAElement], DGLAElement]:
+    """exp of a degree-0 logarithm acting on function elements: the vector
+    field's flow on polyvectors, the differential operator's exponential on
+    cochains (the chart carrier's ``act_once``)."""
+    act = log.carrier.act_once
+    return lambda u: exp_series(lambda t: act(log, t), u)
 
 
 # ---------------------------------------------------------------------------

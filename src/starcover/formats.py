@@ -123,6 +123,12 @@ class ExprParser:
         return _Value(self.ctx.algebra.one(), self.ctx.chart.one())
 
     def _mul(self, a: _Value, b: _Value) -> _Value:
+        if isinstance(b, _ElementValue):
+            a, b = b, a
+        if isinstance(a, _ElementValue):
+            if b.geom is not None:
+                raise FormatError("a parenthesized sum multiplies only scalar factors")
+            return _ElementValue(_scalar_times_element(b, a.element))
         if a.geom is not None and b.geom is not None:
             raise FormatError("cannot multiply two direction/slot factors with *")
         geom = a.geom if a.geom is not None else b.geom
@@ -130,8 +136,6 @@ class ExprParser:
         return _Value(a.series * b.series, a.coeff * b.coeff, geom, gsign)
 
     def _wedge(self, a: _Value, b: _Value) -> _Value:
-        if self.ctx.carrier_kind != "polyvec":
-            raise FormatError("wedge ^ between directions needs a polyvector context")
         if (
             a.geom is None or b.geom is None
             or a.geom[0] != "vec" or b.geom[0] != "vec"
@@ -149,8 +153,6 @@ class ExprParser:
         )
 
     def _tensor(self, a: _Value, b: _Value) -> _Value:
-        if self.ctx.carrier_kind != "polydiff":
-            raise FormatError("slot tensor needs a polydifferential context")
         if a.geom is None or b.geom is None or a.geom[0] != "slots" or b.geom[0] != "slots":
             raise FormatError("tensor needs d[...] factors on both sides")
         return _Value(
@@ -171,8 +173,7 @@ class ExprParser:
             sign = -1
         while True:
             v = self.parse_term()
-            elt = self._to_element(v, sign)
-            acc = elt if acc is None else acc + elt
+            acc = _sum(acc, self._to_element(v, sign))
             kind, val = self.peek()
             if (kind, val) == ("op", "+"):
                 self.take()
@@ -201,9 +202,11 @@ class ExprParser:
                     raise FormatError("cannot divide by a direction factor")
                 if not d.series == self.ctx.algebra.one():
                     raise FormatError("cannot divide by a parameter series")
-                v = self._mul(
-                    v, _Value(self.ctx.algebra.one(), d.coeff.invert())
-                )
+                try:
+                    inverse = d.coeff.invert()
+                except AlgebraError as exc:
+                    raise FormatError(f"cannot divide: {exc}") from None
+                v = self._mul(v, _Value(self.ctx.algebra.one(), inverse))
             elif (kind, val) == ("op", "^"):
                 self.take()
                 rhs = self.parse_factor_nopow()
@@ -244,7 +247,12 @@ class ExprParser:
             )
         if kind == "slot":
             body = val[2:-1].strip()
-            alpha = tuple(int(x) for x in body.split(",")) if body else ()
+            try:
+                alpha = tuple(int(x) for x in body.split(",")) if body else ()
+            except ValueError:
+                raise FormatError(f"slot {val} needs comma-separated integers") from None
+            if self.ctx.carrier_kind != "polydiff":
+                raise FormatError(f"slot {val} needs a polydifferential context")
             deriv = [
                 i for i, v2 in enumerate(self.ctx.chart.variables) if not _is_tvar(v2)
             ]
@@ -259,6 +267,8 @@ class ExprParser:
             if val in self.ctx.chart.variables:
                 return _Value(self.ctx.algebra.one(), self.ctx.chart.var(val))
             if val.startswith("d") and val[1:] in self.ctx.chart.variables:
+                if self.ctx.carrier_kind != "polyvec":
+                    raise FormatError(f"direction {val} needs a polyvector context")
                 i = self.ctx.chart.variables.index(val[1:])
                 return _Value(self.ctx.algebra.one(), self.ctx.chart.one(), ("vec", (i,)))
             raise FormatError(f"unknown symbol {val!r}")
@@ -266,6 +276,8 @@ class ExprParser:
             return self._parse_subexpr()
         if (kind, val) == ("op", "-"):
             v = self.parse_factor_nopow()
+            if isinstance(v, _ElementValue):
+                return _ElementValue(v.element.scale(-1))
             return _Value(v.series.scale(-1), v.coeff, v.geom, v.gsign)
         raise FormatError(f"unexpected token {val!r}")
 
@@ -309,8 +321,7 @@ class ExprParser:
         # general case: build the element and wrap it
         elt = None
         for s, v in values:
-            e = self._to_element(v, s)
-            elt = e if elt is None else elt + e
+            elt = _sum(elt, self._to_element(v, s))
         return _ElementValue(elt)
 
     def _to_element(self, v: _Value, sign: int) -> DGLAElement:
@@ -318,14 +329,8 @@ class ExprParser:
             return v.element.scale(sign)
         coeff = v.coeff.scale(sign * v.gsign)
         if v.geom is None:
-            if self.ctx.carrier_kind == "polyvec":
-                payload = self.car.from_coeff(coeff)
-            else:
-                payload = self.car.from_coeff(coeff)
+            payload = self.car.from_coeff(coeff)
             degree = -1
-        elif v.geom[0] == "vec":
-            payload = {v.geom[1]: coeff} if not coeff.is_zero() else {}
-            degree = len(v.geom[1]) - 1
         else:
             payload = {v.geom[1]: coeff} if not coeff.is_zero() else {}
             degree = len(v.geom[1]) - 1
@@ -336,6 +341,14 @@ class ExprParser:
             if pay:
                 parts[i] = pay
         return DGLAElement(self.car, self.ctx.algebra, degree, parts)
+
+
+def _sum(acc: Optional[DGLAElement], elt: DGLAElement) -> DGLAElement:
+    if acc is None:
+        return elt
+    if acc.degree != elt.degree:
+        raise FormatError(f"cannot add terms of degrees {acc.degree} and {elt.degree}")
+    return acc + elt
 
 
 class _ElementValue(_Value):
@@ -358,19 +371,6 @@ def parse_element(ctx: ExprContext, text: str) -> DGLAElement:
     return ExprParser(ctx, text).parse()
 
 
-def parse_poly(chart: ChartAlgebra, text: str, algebra: Optional[ParamAlgebra] = None) -> LocalizedPoly:
-    alg = algebra or param_algebra_truncate(["_eps"], 1)
-    ctx = ExprContext(alg, chart, "polyvec")
-    elt = parse_element(ctx, text)
-    if elt.degree != -1:
-        raise FormatError("expected a scalar expression")
-    if elt.is_zero():
-        return chart.zero()
-    if set(elt.parts) - {0}:
-        raise FormatError("scalar expression must not involve parameters")
-    return elt.parts[0].get((), chart.zero())
-
-
 # geometry multiplication for _ElementValue products -------------------------
 
 
@@ -386,23 +386,6 @@ def _scalar_times_element(scalar: _Value, elt: DGLAElement) -> DGLAElement:
         }
 
     return out.map_payload(mulc)
-
-
-# patch _mul to cope with element values
-_orig_mul = ExprParser._mul
-
-
-def _mul_with_elements(self, a, b):
-    if isinstance(a, _ElementValue) and isinstance(b, _ElementValue):
-        raise FormatError("cannot multiply two parenthesized element sums")
-    if isinstance(a, _ElementValue):
-        return _ElementValue(_scalar_times_element(b, a.element))
-    if isinstance(b, _ElementValue):
-        return _ElementValue(_scalar_times_element(a, b.element))
-    return _orig_mul(self, a, b)
-
-
-ExprParser._mul = _mul_with_elements
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +441,7 @@ def load_chart(obj: Mapping) -> ChartAlgebra:
     plain = ChartAlgebra(variables)
     dens = []
     for s in raw_dens:
-        p = parse_poly(plain, s)
+        p = parse_localized(plain, s)
         _require(not p.is_zero(), f"chart denominator {s!r} is zero")
         dens.append(p.numer)
     return ChartAlgebra(variables, tuple(dens))

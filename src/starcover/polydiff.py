@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exactalg import (
     AlgebraError,
@@ -33,6 +33,7 @@ from .exactalg import (
     LocalizedPoly,
     Poly,
     QQ,
+    _compositions,
 )
 from .dgla import (
     DGLAElement,
@@ -42,9 +43,10 @@ from .dgla import (
     MCViolation,
     MCCheckError,
     SparseCarrier,
-    bch,
     exp_series,
+    function_element,
     gauge_act,
+    gauge_operator,
     mc_check,
     require_mc,
 )
@@ -74,7 +76,7 @@ def _splittings(alpha: Exponent, parts: int) -> tuple:
 
     def var_splits(total: int):
         # compositions of `total` into `parts` parts with multinomial weight
-        for comp in _compositions_of(total, parts):
+        for comp in _compositions(total, parts):
             w = math.factorial(total)
             for c in comp:
                 w //= math.factorial(c)
@@ -91,34 +93,8 @@ def _splittings(alpha: Exponent, parts: int) -> tuple:
     return tuple(out)
 
 
-def _compositions_of(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_of(total - first, parts - 1):
-            yield (first,) + rest
-
-
 class PolydiffCarrier(SparseCarrier):
-    """D_poly^nor over a chart; ``deriv_indices`` lists the geometric
-    variables (others, such as simplex coordinates, are inert scalars)."""
-
-    def __init__(self, chart: ChartAlgebra, deriv_indices: Optional[Sequence[int]] = None):
-        self.chart = chart
-        if deriv_indices is None:
-            deriv_indices = range(len(chart.variables))
-        self.deriv_indices = tuple(deriv_indices)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolydiffCarrier)
-            and self.chart == other.chart
-            and self.deriv_indices == other.deriv_indices
-        )
-
-    def __hash__(self):
-        return hash(("polydiff", self.chart, self.deriv_indices))
+    """D_poly^nor over a chart."""
 
     @property
     def nderiv(self) -> int:
@@ -137,11 +113,6 @@ class PolydiffCarrier(SparseCarrier):
         return max(orders, default=0)
 
     # -- construction --------------------------------------------------------
-
-    def from_coeff(self, c: LocalizedPoly) -> DiffPayload:
-        if c.is_zero():
-            return {}
-        return {(): c}
 
     def term(self, slots: Slots, coeff: LocalizedPoly) -> DiffPayload:
         slots = tuple(tuple(a) for a in slots)
@@ -274,25 +245,12 @@ class PolydiffCarrier(SparseCarrier):
             out = self.add(out, face)
         return out
 
-    def render(self, x: DiffPayload, degree: int) -> str:
-        if not x:
-            return "0"
-        chunks = []
-        for slots in sorted(x):
-            c = x[slots]
-            body = "⊗".join(f"d[{','.join(map(str, a))}]" for a in slots)
-            cs = c.render()
-            if not slots:
-                chunks.append(cs)
-            elif cs == "1":
-                chunks.append(body)
-            elif cs == "-1":
-                chunks.append(f"-{body}")
-            else:
-                if len(c.numer.terms) > 1:
-                    cs = f"({cs})"
-                chunks.append(f"{cs}*{body}")
-        return " + ".join(chunks).replace("+ -", "- ")
+    def _render_key(self, slots: Slots) -> str:
+        return "⊗".join(f"d[{','.join(map(str, a))}]" for a in slots)
+
+    def act_once(self, log: DGLAElement, u: DGLAElement) -> DGLAElement:
+        """The 1-slot differential operator applied to a function."""
+        return apply_cochain(log, [u])
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +268,6 @@ def gerstenhaber(phi: DGLAElement, psi: DGLAElement) -> DGLAElement:
     if phi.carrier != psi.carrier:
         raise AlgebraError("cochains over different chart algebras")
     return phi.bracket(psi)
-
-
-def function_element(
-    carrier: PolydiffCarrier, algebra: ParamAlgebra, value: LocalizedPoly, basis_index: int = 0
-) -> DGLAElement:
-    return DGLAElement.single(carrier, algebra, -1, basis_index, carrier.from_coeff(value))
 
 
 def module_mul(u: DGLAElement, v: DGLAElement) -> DGLAElement:
@@ -411,10 +363,7 @@ class StarProduct:
 
 
 def monomial_basis(carrier, algebra: ParamAlgebra, degree: int) -> list[DGLAElement]:
-    monos = carrier.chart.monomials_up_to(degree)
-    if isinstance(carrier, PolydiffCarrier):
-        return [function_element(carrier, algebra, m) for m in monos]
-    return [pv.function_element(carrier, algebra, m) for m in monos]
+    return [function_element(carrier, algebra, m) for m in carrier.chart.monomials_up_to(degree)]
 
 
 def monomial_triples(chart: ChartAlgebra, degree: int):
@@ -621,7 +570,7 @@ def star_gauge(
             raise AlgebraError("gauge logarithms must be normalized")
     beta2 = require_mc(gauge_act(log, star.beta.element))
     out = StarProduct(beta2)
-    op = lambda u: exp_series(lambda t: apply_cochain(log, [t]), u)
+    op = gauge_operator(log)
     cert_degree = sufficient_cert_degree(
         [star.beta.element + beta2.element + log.d()], cert_degree
     )
@@ -717,7 +666,7 @@ def _candidate_slots(nderiv: int, max_total: int, nslots: int):
     singles = [
         e
         for total in range(1, max_total + 1)
-        for e in _compositions_of(total, nderiv)
+        for e in _compositions(total, nderiv)
     ]
     for combo in itertools.product(singles, repeat=nslots):
         if sum(map(_multi_weight, combo)) <= max_total:
@@ -796,9 +745,7 @@ class NotEquivalent:
         )
 
 
-def solve_gauge(
-    star: StarProduct, star2: StarProduct, g_table: Optional[Mapping] = None
-) -> GaugeElement | NotEquivalent:
+def solve_gauge(star: StarProduct, star2: StarProduct) -> GaugeElement | NotEquivalent:
     """Find a normalized gauge logarithm gamma with
     star_gauge(gamma, star) == star2, or report the first obstructed adic
     order with its Hochschild-level residue.
@@ -808,8 +755,6 @@ def solve_gauge(
     is the gauge, and a failure carries the last iterate's local defect."""
     if star.carrier != star2.carrier or star.algebra != star2.algebra:
         raise AlgebraError("star products over different algebras")
-    if g_table is not None:
-        return _solve_gauge_from_table(star, star2, g_table)
     # imported here: both modules build on this one
     from .cechnerve import CoverNerve
     from .descent import AddDescentDatum, ObstructionReport, equiv_solve
@@ -826,82 +771,6 @@ def solve_gauge(
     if isinstance(found, ObstructionReport):
         return NotEquivalent(found.order, found.local_residues[(0,)])
     return GaugeElement(found.eta[(0,)])
-
-
-def _solve_gauge_from_table(star, star2, g_table):
-    """Recover a differential gauge from the action of an unknown gauge on a
-    monomial basis: fit a normalized 1-slot cochain layer by layer so its
-    exponential reproduces the table, then hand back the fitted logarithm
-    when it carries ``star`` to ``star2``."""
-    car = star.carrier
-    zero = car.chart.zero()
-    max_deg = max(
-        (c.numer.total_degree() for v in g_table.values() for p in v.parts.values()
-         for c in [p.get((), zero)] if not c.is_zero()),
-        default=1,
-    )
-    max_slot = max(max(map(sum, g_table.keys()), default=1), 1)
-    fitted = fit_gauge_to_action(star, g_table, max_deg, max_slot)
-    if fitted is None:
-        lowest = DGLAElement.zero(car, star.algebra, 0)
-        return NotEquivalent(1, lowest)
-    defect = gauge_act(fitted, star.beta.element) - star2.beta.element
-    if not defect.is_zero():
-        order = int(defect.adic_order())
-        return NotEquivalent(order, defect.graded_part(order))
-    return fitted
-
-
-def fit_gauge_to_action(
-    star: StarProduct,
-    action: Mapping[Exponent, DGLAElement],
-    max_coeff_degree: int,
-    max_slot: int,
-) -> Optional[GaugeElement]:
-    """Fit a normalized differential gauge logarithm whose exponential acts
-    like ``action`` on the given monomials (keys are exponent tuples)."""
-    car = star.carrier
-    alg = star.algebra
-    zero = car.chart.zero()
-    gamma = DGLAElement.zero(car, alg, 0)
-    op = lambda g, u: exp_series(lambda t: apply_cochain(g, [t]), u)
-    cands = []
-    for slots in _candidate_slots(car.nderiv, max_slot, 1):
-        for mono in car.chart.monomials_up_to(max_coeff_degree):
-            cands.append({slots: mono})
-    for p in range(1, alg.order + 1):
-        layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) == p]
-        system = ExactSystem((li, ci) for li in layer_idx for ci in range(len(cands)))
-        rows = set()
-        for key, target in action.items():
-            src = _basis_function(car, alg, ((), key))
-            defect = (target - op(gamma, src)).graded_part(p)
-            for i, payload in defect.parts.items():
-                c = payload.get((), zero)
-                for mono, q in c.numer.terms.items():
-                    rows.add((key, i, c.powers, mono))
-                    system.add_rhs((key, i, c.powers, mono), q)
-        # columns: applying a candidate (at layer p) to the source monomials,
-        # on the rows the defect has
-        for key in action:
-            src_val = LocalizedPoly(car.chart, Poly.monomial(car.chart.variables, key))
-            for ci, cand in enumerate(cands):
-                img = car.evaluate(cand, [src_val])
-                for li in layer_idx:
-                    for mono, q in img.numer.terms.items():
-                        if (key, li, img.powers, mono) in rows:
-                            system.add((key, li, img.powers, mono), (li, ci), q)
-        res = system.solve()
-        if not res.consistent:
-            return None
-        parts: dict = {}
-        for (li, ci), q in res.particular.items():
-            pay = {slots: c.scale(q) for slots, c in cands[ci].items()}
-            parts[li] = car.add(parts.get(li, {}), pay)
-        add = DGLAElement(car, alg, 0, parts)
-        if not add.is_zero():
-            gamma = bch(gamma, add)
-    return GaugeElement(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -996,26 +865,17 @@ def _moyal_exponential(car: PolydiffCarrier, beta_pi: DGLAElement) -> DGLAElemen
 def first_order_bracket(obj: StarProduct | pv.PoissonStructure) -> dict:
     """Table {(x_i, x_j) -> order-1 layer of the first order bracket} on
     generator pairs; gauge invariant by Prop-level arithmetic (tested)."""
+    car = obj.carrier
+    names = car.chart.variables
     out = {}
-    if isinstance(obj, StarProduct):
-        car = obj.carrier
-        names = car.chart.variables
-        idx = car.deriv_indices
-        for a_pos in range(len(idx)):
-            for b_pos in range(a_pos + 1, len(idx)):
-                u = function_element(car, obj.algebra, car.chart.var(names[idx[a_pos]]))
-                v = function_element(car, obj.algebra, car.chart.var(names[idx[b_pos]]))
-                val = obj.commutator(u, v).scale(Fraction(1, 2)).graded_part(1)
-                out[(names[idx[a_pos]], names[idx[b_pos]])] = val
-    else:
-        car = obj.carrier
-        names = car.chart.variables
-        idx = car.deriv_indices
-        for a_pos in range(len(idx)):
-            for b_pos in range(a_pos + 1, len(idx)):
-                u = pv.function_element(car, obj.algebra, car.chart.var(names[idx[a_pos]]))
-                v = pv.function_element(car, obj.algebra, car.chart.var(names[idx[b_pos]]))
-                out[(names[idx[a_pos]], names[idx[b_pos]])] = obj.bracket(u, v).graded_part(1)
+    for a, b in itertools.combinations(car.deriv_indices, 2):
+        u = function_element(car, obj.algebra, car.chart.var(names[a]))
+        v = function_element(car, obj.algebra, car.chart.var(names[b]))
+        if isinstance(obj, StarProduct):
+            val = obj.commutator(u, v).scale(Fraction(1, 2))
+        else:
+            val = obj.bracket(u, v)
+        out[(names[a], names[b])] = val.graded_part(1)
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .exactalg import AlgebraError, ChartAlgebra, LocalizedPoly
+from .exactalg import AlgebraError, LocalizedPoly
 from .dgla import (
     DGLAElement,
     GaugeElement,
@@ -29,7 +29,9 @@ from .dgla import (
     MCElement,
     SparseCarrier,
     exp_series,
+    function_element,
     gauge_act,
+    gauge_operator,
     require_mc,
 )
 from .params import ParamAlgebra
@@ -48,23 +50,7 @@ def merge_odd(a: VecKey, b: VecKey) -> Optional[tuple[VecKey, int]]:
 
 
 class PolyvecCarrier(SparseCarrier):
-    """T_poly over a chart; ``deriv_indices`` lists the geometric variables."""
-
-    def __init__(self, chart: ChartAlgebra, deriv_indices: Optional[Sequence[int]] = None):
-        self.chart = chart
-        if deriv_indices is None:
-            deriv_indices = range(len(chart.variables))
-        self.deriv_indices = tuple(deriv_indices)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyvecCarrier)
-            and self.chart == other.chart
-            and self.deriv_indices == other.deriv_indices
-        )
-
-    def __hash__(self):
-        return hash((self.chart, self.deriv_indices))
+    """T_poly over a chart."""
 
     def d(self, x: VecPayload, degree: int) -> VecPayload:
         return {}
@@ -117,11 +103,6 @@ class PolyvecCarrier(SparseCarrier):
 
     # -- construction and evaluation -----------------------------------------
 
-    def from_coeff(self, c: LocalizedPoly) -> VecPayload:
-        if c.is_zero():
-            return {}
-        return {(): c}
-
     def vector_field(self, coeffs: Mapping[int, LocalizedPoly]) -> VecPayload:
         out = {}
         for i, c in coeffs.items():
@@ -165,38 +146,17 @@ class PolyvecCarrier(SparseCarrier):
             out = out + f * (d1[i] * d2[j] - d2[i] * d1[j])
         return out.scale(Fraction(1, 2))
 
-    def render(self, x: VecPayload, degree: int) -> str:
-        if not x:
-            return "0"
-        names = self.chart.variables
-        chunks = []
-        for ks in sorted(x):
-            c = x[ks]
-            wedge = "^".join(f"d{names[i]}" for i in ks)
-            cs = c.render()
-            if not ks:
-                chunks.append(cs)
-            elif cs == "1":
-                chunks.append(wedge)
-            elif cs == "-1":
-                chunks.append(f"-{wedge}")
-            else:
-                if len(c.numer.terms) > 1:
-                    cs = f"({cs})"
-                chunks.append(f"{cs}*{wedge}")
-        return " + ".join(chunks).replace("+ -", "- ")
+    def _render_key(self, key: VecKey) -> str:
+        return "^".join(f"d{self.chart.variables[i]}" for i in key)
+
+    def act_once(self, log: DGLAElement, u: DGLAElement) -> DGLAElement:
+        """ad(log) on a function: the vector field's derivative."""
+        return log.bracket(u)
 
 
 # ---------------------------------------------------------------------------
 # R (x) C elements and the module-level operations
 # ---------------------------------------------------------------------------
-
-
-def function_element(
-    carrier: PolyvecCarrier, algebra: ParamAlgebra, value: LocalizedPoly, basis_index: int = 0
-) -> DGLAElement:
-    """Wrap an algebra element as a degree -1 DGLA element r_i (x) value."""
-    return DGLAElement.single(carrier, algebra, -1, basis_index, carrier.from_coeff(value))
 
 
 def schouten(x: DGLAElement, y: DGLAElement) -> DGLAElement:
@@ -262,17 +222,6 @@ def poisson_from_mc(beta: DGLAElement | MCElement) -> PoissonStructure:
     return PoissonStructure(mc)
 
 
-def apply_gauge_operator(gamma: DGLAElement, u: DGLAElement) -> DGLAElement:
-    """One application of ad_A(gamma): a degree-0 polyvector acting on an
-    R (x) C element by derivation."""
-    return gamma.bracket(u)
-
-
-def exp_gauge_operator(gamma: DGLAElement, u: DGLAElement) -> DGLAElement:
-    """exp(ad_A(gamma)) applied to an R (x) C element."""
-    return exp_series(lambda t: apply_gauge_operator(gamma, t), u)
-
-
 def poisson_gauge(
     gamma: DGLAElement | GaugeElement,
     structure: PoissonStructure,
@@ -283,6 +232,7 @@ def poisson_gauge(
     log = gamma.log if isinstance(gamma, GaugeElement) else gamma
     beta2 = gauge_act(log, structure.beta.element)
     out = poisson_from_mc(require_mc(beta2))
+    op = gauge_operator(log)
     car = structure.carrier
     failures = []
     monos = car.chart.monomials_up_to(cert_degree)
@@ -293,8 +243,8 @@ def poisson_gauge(
             if degs[a] + degs[b] > cert_degree:
                 continue
             u, v = wrapped[a], wrapped[b]
-            lhs = exp_gauge_operator(log, structure.bracket(u, v))
-            rhs = out.bracket(exp_gauge_operator(log, u), exp_gauge_operator(log, v))
+            lhs = op(structure.bracket(u, v))
+            rhs = out.bracket(op(u), op(v))
             if lhs != rhs:
                 failures.append((monos[a].render(), monos[b].render()))
     return out, IntertwinerCertificate(not failures, cert_degree, failures)

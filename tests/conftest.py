@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -13,29 +12,15 @@ from starcover import (
     ChartAlgebra,
     DGLAElement,
     LocalizedPoly,
-    Poly,
     PolydiffCarrier,
     PolyvecCarrier,
     RestrictionMap,
     build_nerve,
     param_algebra_truncate,
 )
+from starcover.exactalg import _compositions
 from starcover.polydiff import _moyal_exponential
-
-
-def rand_fraction(rng, lo=-3, hi=3):
-    return Fraction(rng.randint(lo, hi))
-
-
-def rand_poly(rng, chart, maxdeg=2, terms=2):
-    t = {}
-    n = len(chart.variables)
-    for _ in range(terms):
-        e = tuple(rng.randint(0, maxdeg) for _ in range(n))
-        if sum(e) > maxdeg:
-            continue
-        t[e] = rand_fraction(rng)
-    return LocalizedPoly(chart, Poly(chart.variables, t))
+from starcover.selftest import _rand_poly as rand_poly
 
 
 def rand_polyvec_payload(rng, car, degree, maxdeg=2):
@@ -58,16 +43,6 @@ def rand_polydiff_payload(rng, car, degree, max_slot=2, maxdeg=2):
         slots = tuple(rng.choice(singles) for _ in range(degree + 1))
         pay = car.add(pay, car.term(slots, rand_poly(rng, car.chart, maxdeg)))
     return pay
-
-
-def _compositions(total, n):
-    if n == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            out.append((first,) + rest)
-    return out
 
 
 def rand_element(rng, car, algebra, degree, minorder=0, kind="polyvec", maxdeg=2):

@@ -1,0 +1,98 @@
+"""Every package function, class and method has a caller outside the tests,
+except an explicit allowlist of test-only names.
+
+The scan is by name: a definition counts as called when its name appears as
+an identifier anywhere in ``src/starcover`` outside its own body (and outside
+``__init__.py``, which only re-exports), in ``scripts/`` or in ``bench/``.
+Dotted identifier strings count too, for the benchmark's trace table names
+its targets as strings (``"PolydiffCarrier.bracket"``).  Dunder methods are
+called by the language and are skipped."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "starcover"
+
+# Names whose only callers are the tests.  Give one a caller or delete it,
+# and remove it here in the same change.
+TEST_ONLY = {
+    # cechnerve
+    "pull_sections", "cech_dgla", "identity_refinement", "cech_face_map", "component",
+    # descent
+    "minimal_conditions", "invert_transformation", "trivial_datum_from_global",
+    # dgla
+    "symmetry_defect", "linfty_apply",
+    # params
+    "base_change",
+    # polyvec
+    "inner_gauge_poisson", "poisson_gauge",
+    # polydiff: StarProduct.exp and StarProduct.conjugation
+    "exp", "conjugation",
+    # simplex
+    "codegeneracy",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) of the top-level functions and classes and of the
+    methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item
+
+
+def _references(tree: ast.AST, strings: bool):
+    """(name, node) of every identifier use; with ``strings``, also the parts
+    of each dotted identifier string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED.fullmatch(node.value):
+                for part in node.value.split("."):
+                    yield part, node
+
+
+def uncalled_names() -> set:
+    outside = set()
+    for folder in ("scripts", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            outside |= {name for name, _ in _references(tree, strings=True)}
+    modules = [
+        ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "__init__.py"
+    ]
+    uses: dict = {}  # name -> ids of the nodes that use it in the package
+    for tree in modules:
+        for name, node in _references(tree, strings=False):
+            uses.setdefault(name, set()).add(id(node))
+    out = set()
+    for tree in modules:
+        for name, definition in _definitions(tree):
+            if name.startswith("__") and name.endswith("__") or name in outside:
+                continue
+            if not uses.get(name, set()) - {id(n) for n in ast.walk(definition)}:
+                out.add(name)
+    return out
+
+
+def test_only_the_allowlisted_names_lack_a_caller():
+    found = uncalled_names()
+    assert not found - TEST_ONLY, f"names with no caller outside the tests: {sorted(found - TEST_ONLY)}"
+    assert not TEST_ONLY - found, (
+        f"allowlisted names that gained a caller or were deleted: {sorted(TEST_ONLY - found)}"
+    )

@@ -25,8 +25,8 @@ from starcover import (
     twisted_bracket,
     twisted_d,
 )
-from starcover.dgla import bch_dleft, bch_dright, bch_word_coefficients
-from starcover.polydiff import _moyal_exponential
+from starcover.dgla import bch_dleft, bch_dright, bch_word_coefficients, exp_series, gauge_operator
+from starcover.polydiff import _moyal_exponential, apply_cochain
 
 from conftest import rand_element
 
@@ -177,6 +177,41 @@ def test_gauge_preserves_mc(rng):
     for _ in range(6):
         g = rand_element(rng, beta.carrier, R, 0, minorder=1)
         assert isinstance(mc_check(gauge_act(g, beta)), MCElement)
+
+
+def test_chart_carriers_of_the_two_flavours_differ():
+    assert PolyvecCarrier(C2) != PolydiffCarrier(C2)
+    assert PolydiffCarrier(C2) != PolyvecCarrier(C2)
+    assert PolyvecCarrier(C2) == PolyvecCarrier(C2, (0, 1))
+    assert PolydiffCarrier(C2, (1,)) != PolydiffCarrier(C2)
+    assert len({PolyvecCarrier(C2), PolydiffCarrier(C2), PolyvecCarrier(C2, [0, 1])}) == 2
+
+
+# The routes ``gauge_operator`` replaced are its oracles: on polyvectors the
+# flow of ad(log), on cochains the exponential of the 1-slot operator.  On a
+# function, ad(log) of a cochain is that operator too (u o log has no slot to
+# insert into), so the bracket route holds for both flavours.
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.sampled_from(["polyvec", "polydiff"]))
+def test_gauge_operator_matches_each_flavours_route(seed, order, kind):
+    rng = random.Random(seed)
+    R = param_algebra_truncate(["hbar"], order)
+    car = (PolyvecCarrier if kind == "polyvec" else PolydiffCarrier)(C2)
+
+    def draw(degree, **kw):
+        while True:
+            e = rand_element(rng, car, R, degree, kind=kind, **kw)
+            if not e.is_zero():
+                return e
+
+    log, u = draw(0, minorder=1), draw(-1, maxdeg=3)
+    got = gauge_operator(log)(u)
+    assert got == exp_series(log.bracket, u)
+    if kind == "polyvec":
+        # a vector field and its HKR image, a first-order operator, act alike
+        assert hkr(got) == gauge_operator(hkr(log))(hkr(u))
+    else:
+        assert got == exp_series(lambda t: apply_cochain(log, [t]), u)
 
 
 def test_twisted_d_examples(rng):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starcover import (
     ChartAlgebra,
@@ -351,9 +352,22 @@ def test_cli_octahedron_datum_of_either_kind_loads(tmp_path, kind):
         ("star-table", lambda obj: obj.update(kind="star", beta="hbar * x"),
          "beta expression must have cochain degree 1"),
         ("star-table", lambda obj: obj.update(kind="star", schema=2), "schema must be 1"),
+        ("quantize", lambda obj: obj.update(bivector="hbar*d[1,]"),
+         "slot d[1,] needs comma-separated integers"),
+        ("star-table", lambda obj: obj.update(kind="star", beta="hbar*d[,]⊗d[0,1,0]"),
+         "slot d[,] needs comma-separated integers"),
+        ("star-table", lambda obj: obj.update(kind="star", beta="hbar*d[1 0 0]⊗d[0,1,0]"),
+         "slot d[1 0 0] needs comma-separated integers"),
+        ("quantize", lambda obj: obj.update(bivector="hbar*(dx^dy + x)"),
+         "cannot add terms of degrees 1 and -1"),
+        ("star-table", lambda obj: obj.update(bivector="hbar*x/(x+1)*dx^dy"),
+         "cannot divide: element x + 1 is not invertible against the declared denominators"),
+        ("quantize", lambda obj: obj.update(bivector="hbar*dx*(dy^dz)"),
+         "a parenthesized sum multiplies only scalar factors"),
     ],
     ids=["bivector-int", "bivector-missing", "beta-int", "bivector-degree-0", "beta-degree-minus-1",
-         "star-schema-2"],
+         "star-schema-2", "slot-trailing-comma", "slot-empty-entries", "slot-no-commas",
+         "mixed-degree-sum", "undeclared-denominator", "direction-times-sum"],
 )
 def test_cli_mistyped_poisson_input(tmp_path, capsys, command, edit, message):
     obj = json.loads((DATA / "so3.json").read_text(encoding="utf-8"))
@@ -362,6 +376,30 @@ def test_cli_mistyped_poisson_input(tmp_path, capsys, command, edit, message):
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+# Random token strings over the expression alphabet: parsing returns an
+# element or raises FormatError, never another exception, and a nonzero
+# element parses back from its rendering (a zero renders as "0" of degree
+# -1).  Numbers are single digits up to 3, so nested powers stay small; huge
+# exponents stay untested on purpose.
+_TOKENS = [
+    "0", "1", "2", "3", "x", "y", "hbar", "q", "dx", "dy", "d[1,0]", "d[0,1]", "d[2,0]",
+    "d[1]", "d[1,]", "d[,]", "d[1 0]", "+", "-", "*", "/", "^", "(", ")", "⊗", "@",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=25), st.sampled_from(["polyvec", "polydiff"]))
+def test_parse_element_raises_only_format_errors(tokens, kind):
+    chart = ChartAlgebra(("x", "y"), (Poly.var(("x", "y"), "x"),))
+    ctx = ExprContext(param_algebra_truncate(["hbar"], 2), chart, kind)
+    try:
+        elt = parse_element(ctx, " ".join(tokens))
+    except FormatError:
+        return
+    assert isinstance(elt, DGLAElement)
+    assert elt.is_zero() or parse_element(ctx, elt.render()) == elt
 
 
 def _edit_face(label, **chart):

@@ -20,7 +20,6 @@ from starcover import (
     bch,
     first_order_bracket,
     first_order_tables_equal,
-    gauge_act,
     gerstenhaber,
     hkr,
     hochschild_d,
@@ -40,9 +39,7 @@ from starcover.polydiff import (
     _candidate_slots,
     _splittings,
     _moyal_exponential,
-    apply_cochain,
     associativity_oracle,
-    fit_gauge_to_action,
     function_element,
     monomial_triples,
     solve_d_equation,
@@ -549,54 +546,8 @@ def test_moyal_vs_commutative_not_equivalent():
     payload = out.residue.parts[min(out.residue.parts)]
     anti = S.carrier.add(payload, {k[::-1]: v for k, v in payload.items()})
     assert not S.carrier.is_zero(payload)
-    assert S.carrier.is_zero(anti) or not S.carrier.is_zero(anti)  # rendered for report
+    assert S.carrier.is_zero(anti)
     assert "d[" in out.render()
-
-
-def test_solve_gauge_table_route():
-    S = moyal_star(2)
-    car = S.carrier
-    R = S.algebra
-    gamma0 = DGLAElement.single(car, R, 0, 1, car.term(((2, 0),), C2.one()))
-    S2, _ = star_gauge(gamma0, S)
-    from starcover.dgla import exp_series
-
-    op = lambda u: exp_series(lambda t: apply_cochain(gamma0, [t]), u)
-    table = {}
-    for m in C2.monomials_up_to(3):
-        table[m.numer.leading()[0]] = op(function_element(car, R, m))
-    rec = solve_gauge(S, S2, g_table=table)
-    assert isinstance(rec, GaugeElement)
-    S2b, cert = star_gauge(rec, S)
-    assert cert.holds
-    # the same table does not carry S to itself: the fitted gauge is checked
-    # against the target, and the report names the order where they differ
-    out = solve_gauge(S, S, g_table=table)
-    assert isinstance(out, NotEquivalent)
-    assert out.order == 1
-    assert out.residue == (gauge_act(rec.log, S.beta.element) - S.beta.element).graded_part(1)
-
-
-def test_solve_gauge_from_action_table():
-    S = moyal_star(2)
-    car = S.carrier
-    R = S.algebra
-    gamma0 = DGLAElement.single(car, R, 0, 1, car.term(((2, 0),), C2.one()))
-    op = lambda u: u + apply_cochain(gamma0, [u]) + apply_cochain(
-        gamma0, [apply_cochain(gamma0, [u])]
-    ).scale(Fraction(1, 2))
-    table = {}
-    for m in C2.monomials_up_to(3):
-        key = m.numer.leading()[0]
-        table[key] = op(function_element(car, R, m))
-    fitted = fit_gauge_to_action(S, table, max_coeff_degree=1, max_slot=2)
-    assert fitted is not None
-    for key, val in table.items():
-        src = function_element(car, R, LocalizedPoly(C2, Poly.monomial(C2.variables, key)))
-        from starcover.dgla import exp_series
-
-        got = exp_series(lambda t: apply_cochain(fitted.log, [t]), src)
-        assert got == val
 
 
 def test_hkr_examples():
@@ -657,7 +608,6 @@ def test_quantize_rejects_non_poisson():
     bad_pay = vcar.add(
         vcar.term((0, 1), C3.var("x")), vcar.term((1, 2), C3.var("y") * C3.var("y"))
     )
-    bad = poisson_from_mc.__wrapped__ if hasattr(poisson_from_mc, "__wrapped__") else None
     from starcover.polyvec import PoissonStructure
 
     P_bad = PoissonStructure(MCElement(DGLAElement.single(vcar, R, 1, 1, bad_pay)))
