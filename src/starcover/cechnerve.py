@@ -545,9 +545,6 @@ class CechCarrier(NestedCarrier):
                 out[f] = v
         return out
 
-    def component(self, x, face: Face):
-        return x.get(face, self.face_carriers[face].zero())
-
     def render(self, x, degree: int) -> str:
         if not x:
             return "0"
@@ -560,25 +557,6 @@ class CechCarrier(NestedCarrier):
 def transport_payload(nerve: CoverNerve, kind: str, f: Face, g: Face, payload, tdim: int = 0):
     """Push a face payload from face f to a larger face g."""
     return nerve.restriction(f, g).transport(kind, payload, tdim)
-
-
-def cech_face_map(
-    element: DGLAElement, alpha: Sequence[int], target_level: int
-) -> DGLAElement:
-    """g(alpha): level p -> level q for order-preserving alpha: [p] -> [q],
-    applied to every payload by push_payload."""
-    car = element.carrier
-    if not isinstance(car, CechCarrier):
-        raise NerveError("cech_face_map expects a Cech element")
-    p = car.level
-    q = target_level
-    alpha = tuple(alpha)
-    if len(alpha) != p + 1 or any(alpha[i] > alpha[i + 1] for i in range(p)):
-        raise NerveError("alpha must be order-preserving [p] -> [q]")
-    out_car = CechCarrier(car.nerve, car.kind, q, car.tdim)
-    return element.map_payload(
-        lambda x: push_payload(car.nerve, car.kind, alpha, q, x, car.tdim), carrier=out_car
-    )
 
 
 def push_payload(

@@ -119,6 +119,13 @@ def cmd_int_mc(args) -> int:
     return 0
 
 
+def _transformation_report(command: str, verdict: str, nerve, result: TwistedTransformation) -> dict:
+    def labelled(parts):
+        return {nerve.label(f): v.render() for f, v in sorted(parts.items()) if not v.is_zero()}
+
+    return {"command": command, verdict: True, "eta": labelled(result.eta), "eps": labelled(result.eps)}
+
+
 def cmd_equiv(args) -> int:
     left = formats.load_descent(_load_json(args.left))
     right = formats.load_descent(_load_json(args.right))
@@ -126,12 +133,7 @@ def cmd_equiv(args) -> int:
         raise FormatError("equiv needs two data of the same kind")
     result = equiv_solve(left, right)
     if isinstance(result, TwistedTransformation):
-        report = {
-            "command": "equiv",
-            "equivalent": True,
-            "eta": {left.nerve.label(k): v.render() for k, v in sorted(result.eta.items()) if not v.is_zero()},
-            "eps": {left.nerve.label(e): v.render() for e, v in sorted(result.eps.items()) if not v.is_zero()},
-        }
+        report = _transformation_report("equiv", "equivalent", left.nerve, result)
         _emit(args, report, "equivalent\n" + dumps(report))
         return 0
     report = {
@@ -154,12 +156,7 @@ def cmd_obstruction(args) -> int:
         against = formats.load_descent(_load_json(args.against))
     result = obstruction(datum, against)
     if isinstance(result, TwistedTransformation):
-        report = {
-            "command": "obstruction",
-            "trivializable": True,
-            "eta": {datum.nerve.label(k): v.render() for k, v in sorted(result.eta.items()) if not v.is_zero()},
-            "eps": {datum.nerve.label(e): v.render() for e, v in sorted(result.eps.items()) if not v.is_zero()},
-        }
+        report = _transformation_report("obstruction", "trivializable", datum.nerve, result)
         _emit(args, report, "trivializable\n" + dumps(report))
         return 0
     gens = datum.algebra.gens
@@ -281,66 +278,41 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
+    options = {
+        "--order": dict(type=int, default=None, help="parameter truncation order"),
+        "--cert-degree": dict(type=int, default=None, help="certificate degree D"),
+        "--seed": dict(type=int, default=0, help="deterministic generator seed"),
+        "--against": dict(default=None, help="compare against a given global datum"),
+        "--degree-bound": dict(type=int, default=-1,
+                               help="polynomial layer truncation; -1 = constant coefficients"),
+        "--out": dict(default=None, help="write the report to a file"),
+        "--format": dict(choices=("json", "text"), default="json"),
+    }
 
-    def common(sp):
-        sp.add_argument("--order", type=int, default=None, help="parameter truncation order")
-        sp.add_argument("--cert-degree", type=int, default=None, help="certificate degree D")
-        sp.add_argument("--seed", type=int, default=0, help="deterministic generator seed")
-        sp.add_argument("--out", default=None, help="write the report to a file")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
+    def command(name, fn, text, inputs, *flags):
+        sp = sub.add_parser(name, help=text)
+        for arg in inputs:
+            sp.add_argument(arg)
+        for flag in (*flags, "--out", "--format"):
+            sp.add_argument(flag, **options[flag])
+        sp.set_defaults(fn=fn)
 
-    sp = sub.add_parser("check-mdd", help="verify a multiplicative descent datum")
-    sp.add_argument("input")
-    common(sp)
-    sp.set_defaults(fn=cmd_check_mdd)
-
-    sp = sub.add_parser("check-add", help="verify an additive descent datum")
-    sp.add_argument("input")
-    common(sp)
-    sp.set_defaults(fn=cmd_check_add)
-
-    sp = sub.add_parser("exp-add", help="exponentiate an additive datum to a multiplicative one")
-    sp.add_argument("input")
-    common(sp)
-    sp.set_defaults(fn=cmd_exp_add)
-
-    sp = sub.add_parser("int-mc", help="integrate a Thom-Sullivan MC element to an additive datum")
-    sp.add_argument("input")
-    common(sp)
-    sp.set_defaults(fn=cmd_int_mc)
-
-    sp = sub.add_parser("equiv", help="decide twisted gauge equivalence of two data")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    common(sp)
-    sp.set_defaults(fn=cmd_equiv)
-
-    sp = sub.add_parser("obstruction", help="trivialize a datum or report its obstruction class")
-    sp.add_argument("input")
-    sp.add_argument("--against", default=None, help="compare against a given global datum")
-    common(sp)
-    sp.set_defaults(fn=cmd_obstruction)
-
-    sp = sub.add_parser("quantize", help="order-2 quantization of a Poisson bivector")
-    sp.add_argument("input")
-    common(sp)
-    sp.set_defaults(fn=cmd_quantize)
-
-    sp = sub.add_parser("star-table", help="multiplication table of a star product")
-    sp.add_argument("input")
-    common(sp)
-    sp.set_defaults(fn=cmd_star_table)
-
-    sp = sub.add_parser("cohomology", help="exact Cech cohomology of a nerve layer")
-    sp.add_argument("input")
-    sp.add_argument("--degree-bound", type=int, default=-1,
-                    help="polynomial layer truncation; -1 = constant coefficients")
-    common(sp)
-    sp.set_defaults(fn=cmd_cohomology)
-
-    sp = sub.add_parser("selftest", help="run the seeded property battery")
-    common(sp)
-    sp.set_defaults(fn=cmd_selftest)
+    one = ("input",)
+    command("check-mdd", cmd_check_mdd, "verify a multiplicative descent datum", one, "--cert-degree")
+    command("check-add", cmd_check_add, "verify an additive descent datum", one)
+    command("exp-add", cmd_exp_add, "exponentiate an additive datum to a multiplicative one", one,
+            "--cert-degree")
+    command("int-mc", cmd_int_mc, "integrate a Thom-Sullivan MC element to an additive datum", one)
+    command("equiv", cmd_equiv, "decide twisted gauge equivalence of two data", ("left", "right"))
+    command("obstruction", cmd_obstruction, "trivialize a datum or report its obstruction class",
+            one, "--against")
+    command("quantize", cmd_quantize, "order-2 quantization of a Poisson bivector", one,
+            "--order", "--cert-degree")
+    command("star-table", cmd_star_table, "multiplication table of a star product", one,
+            "--cert-degree")
+    command("cohomology", cmd_cohomology, "exact Cech cohomology of a nerve layer", one,
+            "--degree-bound")
+    command("selftest", cmd_selftest, "run the seeded property battery", (), "--seed")
     return p
 
 

@@ -51,15 +51,13 @@ from .polydiff import (
 from .thomsullivan import TSHandle, integrate_component, level_zero_element, validate_compatibility
 
 
-FLAVORS = ("associative", "poisson")
+KIND_OF_FLAVOR = {"associative": "polydiff", "poisson": "polyvec"}
 
 
 def kind_of(flavor: str) -> str:
-    if flavor == "associative":
-        return "polydiff"
-    if flavor == "poisson":
-        return "polyvec"
-    raise AlgebraError(f"unknown flavor {flavor!r}")
+    if flavor not in KIND_OF_FLAVOR:
+        raise AlgebraError(f"unknown flavor {flavor!r}")
+    return KIND_OF_FLAVOR[flavor]
 
 
 def face_carrier(nerve: CoverNerve, flavor: str, face: Face):
@@ -802,7 +800,10 @@ def int_mc(handle: TSHandle, beta: DGLAElement | MCElement) -> AddDescentDatum:
 
 
 def _flavor_of_kind(kind: str) -> str:
-    return "associative" if kind == "polydiff" else "poisson"
+    for flavor, k in KIND_OF_FLAVOR.items():
+        if k == kind:
+            return flavor
+    raise AlgebraError(f"unknown carrier kind {kind!r}")
 
 
 def _split_faces(element: DGLAElement, nerve, flavor, alg, degree) -> dict:

@@ -1,8 +1,8 @@
 """Quantum-type DG Lie algebras tensored with a truncated parameter algebra.
 
 An element of R (x) g^p is stored as a finite map {filtered-basis index ->
-carrier payload}; the carrier supplies the differential and bracket of g and
-extends R-linearly through the basis multiplication.  Gauge action, twisted
+carrier payload}; the carrier supplies the differential and bracket of g, and
+ParamAlgebra.extend extends them R-multilinearly.  Gauge action, twisted
 differential/bracket, BCH on logarithms, and L-infinity evaluation all live
 here and are shared by every concrete carrier.
 
@@ -225,14 +225,7 @@ class DGLAElement:
         if r.algebra != self.algebra:
             raise AlgebraError("series over a different parameter algebra")
         car = self.carrier
-        parts: dict = {}
-        for j, c in r.coeffs.items():
-            for i, x in self.parts.items():
-                k = self.algebra.mul_index(i, j)
-                if k is None:
-                    continue
-                y = car.scale(c, x)
-                parts[k] = car.add(parts[k], y) if k in parts else y
+        parts = self.algebra.extend(car.scale, car.add, r.coeffs, self.parts)
         return DGLAElement(car, self.algebra, self.degree, parts)
 
     def d(self) -> "DGLAElement":
@@ -247,16 +240,11 @@ class DGLAElement:
     def bracket(self, other: "DGLAElement") -> "DGLAElement":
         self._check(other, same_degree=False)
         car = self.carrier
-        alg = self.algebra
-        parts: dict = {}
-        for i, x in self.parts.items():
-            for j, y in other.parts.items():
-                k = alg.mul_index(i, j)
-                if k is None:
-                    continue
-                z = car.bracket(x, y, self.degree, other.degree)
-                parts[k] = car.add(parts[k], z) if k in parts else z
-        return DGLAElement(car, alg, self.degree + other.degree, parts)
+        dx, dy = self.degree, other.degree
+        parts = self.algebra.extend(
+            lambda x, y: car.bracket(x, y, dx, dy), car.add, self.parts, other.parts
+        )
+        return DGLAElement(car, self.algebra, dx + dy, parts)
 
     def adic_order(self):
         if not self.parts:

@@ -22,6 +22,7 @@ from .cechnerve import CoverNerve, RestrictionMap, build_nerve
 from .descent import (
     AddDescentDatum,
     MultDescentDatum,
+    KIND_OF_FLAVOR,
     face_carrier,
     kind_of,
 )
@@ -524,7 +525,8 @@ def load_descent(obj: Mapping):
     kind = obj.get("kind")
     _require(kind in ("mdd", "add"), "kind must be 'mdd' or 'add'")
     flavor = obj.get("flavor")
-    _require(flavor in ("associative", "poisson"), "flavor must be associative|poisson")
+    _require(isinstance(flavor, str) and flavor in KIND_OF_FLAVOR,
+             "flavor must be associative|poisson")
     algebra = load_params(obj.get("params"))
     nerve = load_nerve(obj.get("nerve"))
     keys = ("locals", "edges", "triples") if kind == "mdd" else ("delta0", "delta1", "delta2")
@@ -564,7 +566,8 @@ def load_ts_element(obj: Mapping):
     optional TS gauge (also Whitney-built) acting on it, plus raw components."""
     _require(obj.get("schema") == 1, "ts element: schema must be 1")
     flavor = obj.get("flavor")
-    _require(flavor in ("associative", "poisson"), "flavor must be associative|poisson")
+    _require(isinstance(flavor, str) and flavor in KIND_OF_FLAVOR,
+             "flavor must be associative|poisson")
     algebra = load_params(obj.get("params"))
     nerve = load_nerve(obj.get("nerve"))
     handle = ts_normalize(nerve, kind_of(flavor), algebra)

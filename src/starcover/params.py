@@ -9,8 +9,9 @@ multiplication constants are 0/1.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .exactalg import AlgebraError, Exponent, QQ, _compositions, grlex_key
 
@@ -20,7 +21,7 @@ INFINITY = math.inf
 class ParamAlgebra:
     """Local artinian monomial quotient Q[gens]/(m^{order+1} + extra)."""
 
-    __slots__ = ("gens", "order", "extra_relations", "basis", "index")
+    __slots__ = ("gens", "order", "extra_relations", "basis", "index", "_products")
 
     def __init__(
         self,
@@ -51,6 +52,7 @@ class ParamAlgebra:
         self.extra_relations = extra_relations
         self.basis = basis
         self.index = {e: i for i, e in enumerate(basis)}
+        self._products: dict[tuple[int, int], Optional[int]] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -67,9 +69,34 @@ class ParamAlgebra:
         return sum(self.basis[i])
 
     def mul_index(self, i: int, j: int) -> Optional[int]:
-        """Index k with r_i * r_j = r_k, or None when the product dies."""
-        e = tuple(a + b for a, b in zip(self.basis[i], self.basis[j]))
-        return self.index.get(e)
+        """Index k with r_i * r_j = r_k, or None when the product dies;
+        memoized per pair on first use."""
+        try:
+            return self._products[i, j]
+        except KeyError:
+            e = tuple(a + b for a, b in zip(self.basis[i], self.basis[j]))
+            k = self._products[i, j] = self.index.get(e)
+            return k
+
+    def extend(self, op: Callable, add: Callable, *factors: Mapping[int, Any]) -> dict:
+        """R-multilinear extension of ``op`` to elements {basis index: value}:
+        {k: sum by ``add`` of op(x_1, ..., x_n)} over one item (i_m, x_m) of
+        each factor with r_i1 ... r_in = r_k, in nested-loop order (the first
+        factor outermost).  A product that dies, or an op value of None,
+        contributes nothing."""
+        mul = self.mul_index
+        first, *rest = factors
+        terms = [(i, (x,)) for i, x in first.items()]
+        for factor in rest:
+            items = list(factor.items())
+            terms = [(k, xs + (x,)) for i, xs in terms for j, x in items
+                     if (k := mul(i, j)) is not None]
+        out: dict = {}
+        for k, xs in terms:
+            z = op(*xs)
+            if z is not None:
+                out[k] = add(out[k], z) if k in out else z
+        return out
 
     # -- elements ---------------------------------------------------------
 
@@ -166,14 +193,7 @@ class ParamSeries:
     def __mul__(self, other: "ParamSeries") -> "ParamSeries":
         self._check_same(other)
         alg = self.algebra
-        coeffs: dict[int, Fraction] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = alg.mul_index(i, j)
-                if k is None:
-                    continue
-                coeffs[k] = coeffs.get(k, QQ(0)) + a * b
-        return ParamSeries(alg, coeffs)
+        return ParamSeries(alg, alg.extend(operator.mul, operator.add, self.coeffs, other.coeffs))
 
     def scale(self, c) -> "ParamSeries":
         c = Fraction(c)

@@ -43,7 +43,6 @@ from .dgla import (
     MCViolation,
     MCCheckError,
     SparseCarrier,
-    exp_series,
     function_element,
     gauge_act,
     gauge_operator,
@@ -273,52 +272,25 @@ def gerstenhaber(phi: DGLAElement, psi: DGLAElement) -> DGLAElement:
 def module_mul(u: DGLAElement, v: DGLAElement) -> DGLAElement:
     """Commutative product of two degree -1 elements of R (x) C."""
     car = u.carrier
-    alg = u.algebra
     zero = car.chart.zero()
-    parts: dict = {}
-    for i, xu in u.parts.items():
-        cu = xu.get((), zero)
-        for j, xv in v.parts.items():
-            k = alg.mul_index(i, j)
-            if k is None:
-                continue
-            val = cu * xv.get((), zero)
-            pay = car.from_coeff(val)
-            parts[k] = car.add(parts[k], pay) if k in parts else pay
-    return DGLAElement(car, alg, -1, parts)
+    mul = lambda xu, xv: car.from_coeff(xu.get((), zero) * xv.get((), zero))
+    return DGLAElement(car, u.algebra, -1, u.algebra.extend(mul, car.add, u.parts, v.parts))
 
 
 def apply_cochain(op: DGLAElement, args: Sequence[DGLAElement]) -> DGLAElement:
     """Evaluate a degree-p cochain of R (x) D_poly on p+1 elements of
     R (x) C, R-multilinearly."""
     car = op.carrier
-    alg = op.algebra
     if len(args) != op.degree + 1:
         raise AlgebraError("argument count does not match the degree")
     zero = car.chart.zero()
-    parts: dict = {}
-    for i, payload in op.parts.items():
-        # distribute over the basis expansions of every argument
-        arg_items = [list(a.parts.items()) for a in args]
-        for combo in itertools.product(*arg_items):
-            k = i
-            vals = []
-            dead = False
-            for j, xa in combo:
-                k2 = alg.mul_index(k, j)
-                if k2 is None:
-                    dead = True
-                    break
-                k = k2
-                vals.append(xa.get((), zero))
-            if dead:
-                continue
-            val = car.evaluate(payload, vals)
-            if val.is_zero():
-                continue
-            pay = car.from_coeff(val)
-            parts[k] = car.add(parts[k], pay) if k in parts else pay
-    return DGLAElement(car, alg, -1, parts)
+
+    def evaluate(payload, *xs):
+        val = car.evaluate(payload, [x.get((), zero) for x in xs])
+        return None if val.is_zero() else car.from_coeff(val)
+
+    parts = op.algebra.extend(evaluate, car.add, op.parts, *(a.parts for a in args))
+    return DGLAElement(car, op.algebra, -1, parts)
 
 
 @dataclass(frozen=True)
@@ -340,26 +312,6 @@ class StarProduct:
 
     def commutator(self, u: DGLAElement, v: DGLAElement) -> DGLAElement:
         return self.product(u, v) - self.product(v, u)
-
-    def exp(self, a: DGLAElement) -> DGLAElement:
-        """exp_star of a degree -1 element of adic order >= 1."""
-        if a.adic_order() < 1:
-            raise AlgebraError("star exponentials need adic order >= 1")
-        one = function_element(self.carrier, self.algebra, self.carrier.chart.one())
-        acc = one
-        term = one
-        k = 0
-        while True:
-            k += 1
-            term = self.product(term, a).scale(Fraction(1, k))
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc
-
-    def conjugation(self, a: DGLAElement) -> Callable[[DGLAElement], DGLAElement]:
-        """ig(exp_star(a)) = exp(ad_star(a)) as an operator on R (x) C."""
-        return lambda u: exp_series(lambda t: self.commutator(a, t), u)
 
 
 def monomial_basis(carrier, algebra: ParamAlgebra, degree: int) -> list[DGLAElement]:
@@ -450,8 +402,7 @@ class _MonomialProducts(dict):
             for i, pay in parts.items()
             for (al1, al2), f in pay.items()
         ]
-        n = len(alg.basis)
-        self.mul = [[alg.mul_index(i, j) for j in range(n)] for i in range(n)]
+        self.mul_index = alg.mul_index
 
     @staticmethod
     def key(m: LocalizedPoly) -> Exponent:
@@ -480,11 +431,11 @@ class _MonomialProducts(dict):
 
     def expand(self, x: dict, apply: Callable) -> dict:
         # sum of q r_i apply(e) over the terms q r_i x^e of x, zeros dropped
+        mul = self.mul_index
         acc: dict = {}
         for (i, e), q in x.items():
-            row = self.mul[i]
             for (j, e2), q2 in apply(e).items():
-                k = row[j]
+                k = mul(i, j)
                 if k is not None:
                     acc[k, e2] = acc.get((k, e2), 0) + q * q2
         return {t: v for t, v in acc.items() if v}
@@ -831,34 +782,25 @@ def _moyal_exponential(car: PolydiffCarrier, beta_pi: DGLAElement) -> DGLAElemen
     alg = beta_pi.algebra
     P = {i: hkr_payload(beta_pi.carrier, car, payload) for i, payload in beta_pi.parts.items()}
 
-    def tensor_mul(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for i, pa in a.items():
-            for j, pb in b.items():
-                k = alg.mul_index(i, j)
-                if k is None:
-                    continue
-                pay: DiffPayload = {}
-                for sa, ca in pa.items():
-                    for sb, cb in pb.items():
-                        slots = tuple(_multi_add(x, y) for x, y in zip(sa, sb))
-                        val = ca * cb
-                        pay[slots] = pay[slots] + val if slots in pay else val
-                pay = car._clean(pay)
-                out[k] = car.add(out.get(k, {}), pay)
-        return {k: v for k, v in out.items() if v}
+    def payload_mul(pa: DiffPayload, pb: DiffPayload) -> DiffPayload:
+        pay: DiffPayload = {}
+        for sa, ca in pa.items():
+            for sb, cb in pb.items():
+                slots = tuple(_multi_add(x, y) for x, y in zip(sa, sb))
+                val = ca * cb
+                pay[slots] = pay[slots] + val if slots in pay else val
+        return car._clean(pay)
 
     acc = dict(P)
     cur = dict(P)
     k = 1
     while cur:
         k += 1
-        cur = tensor_mul(cur, P)
-        cur = {i: car.scale(Fraction(1, k), v) for i, v in cur.items()}
+        cur = alg.extend(payload_mul, car.add, cur, P)
+        cur = {i: car.scale(Fraction(1, k), v) for i, v in cur.items() if v}
         for i, v in cur.items():
             acc[i] = car.add(acc.get(i, {}), v)
         acc = {i: v for i, v in acc.items() if v}
-        cur = {i: v for i, v in cur.items() if v}
     return DGLAElement(car, alg, 1, acc)
 
 

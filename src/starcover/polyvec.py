@@ -182,24 +182,11 @@ class PoissonStructure:
 
     def bracket(self, u: DGLAElement, v: DGLAElement) -> DGLAElement:
         """R-bilinear extension of the wedge pairing of beta."""
-        b = self.beta.element
         car = self.carrier
-        alg = self.algebra
         zero = car.chart.zero()
-        parts: dict = {}
-        for i, biv in b.parts.items():
-            for j, uc in u.parts.items():
-                ij = alg.mul_index(i, j)
-                if ij is None:
-                    continue
-                for k, vc in v.parts.items():
-                    ijk = alg.mul_index(ij, k)
-                    if ijk is None:
-                        continue
-                    val = car.wedge_eval(biv, uc.get((), zero), vc.get((), zero))
-                    pay = car.from_coeff(val)
-                    parts[ijk] = car.add(parts[ijk], pay) if ijk in parts else pay
-        return DGLAElement(car, alg, -1, parts)
+        pair = lambda biv, uc, vc: car.from_coeff(car.wedge_eval(biv, uc.get((), zero), vc.get((), zero)))
+        parts = self.algebra.extend(pair, car.add, self.beta.element.parts, u.parts, v.parts)
+        return DGLAElement(car, self.algebra, -1, parts)
 
     def bracket_table(self, degree: int) -> dict[tuple[str, str], DGLAElement]:
         """{x_i, x_j} for all monomial pairs of total degree <= degree is big;

@@ -262,11 +262,6 @@ def coface(i: int, q: int) -> tuple[int, ...]:
     return tuple(j if j < i else j + 1 for j in range(q))
 
 
-def codegeneracy(i: int, q: int) -> tuple[int, ...]:
-    """The i-th codegeneracy [q+1] -> [q] (repeats i)."""
-    return tuple(j if j <= i else j - 1 for j in range(q + 2))
-
-
 def stokes_boundary_integral(omega: SimplexForm) -> Fraction:
     """sum_i (-1)^i int_{Delta^{q-1}} (i-th face pullback of omega)."""
     q = omega.q

@@ -23,6 +23,11 @@ from starcover.polydiff import _moyal_exponential
 from starcover.selftest import _rand_poly as rand_poly
 
 
+def codegeneracy(i: int, q: int) -> tuple[int, ...]:
+    """The i-th codegeneracy [q+1] -> [q] (repeats i)."""
+    return tuple(j if j <= i else j - 1 for j in range(q + 2))
+
+
 def rand_polyvec_payload(rng, car, degree, maxdeg=2):
     keys = list(itertools.combinations(car.deriv_indices, degree + 1))
     pay = car.zero()

@@ -1,12 +1,13 @@
-"""Every package function, class and method has a caller outside the tests,
-except an explicit allowlist of test-only names.
+"""Every package function, class, method and module-level name (constant or
+alias) has a user outside the tests, except an explicit allowlist of
+test-only names.
 
-The scan is by name: a definition counts as called when its name appears as
+The scan is by name: a definition counts as used when its name appears as
 an identifier anywhere in ``src/starcover`` outside its own body (and outside
 ``__init__.py``, which only re-exports), in ``scripts/`` or in ``bench/``.
 Dotted identifier strings count too, for the benchmark's trace table names
-its targets as strings (``"PolydiffCarrier.bracket"``).  Dunder methods are
-called by the language and are skipped."""
+its targets as strings (``"PolydiffCarrier.bracket"``).  Dunder names are
+used by the language and are skipped."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ PACKAGE = ROOT / "src" / "starcover"
 # and remove it here in the same change.
 TEST_ONLY = {
     # cechnerve
-    "pull_sections", "cech_dgla", "identity_refinement", "cech_face_map", "component",
+    "pull_sections", "cech_dgla", "identity_refinement",
     # descent
     "minimal_conditions", "invert_transformation", "trivial_datum_from_global",
     # dgla
@@ -30,21 +31,23 @@ TEST_ONLY = {
     "base_change",
     # polyvec
     "inner_gauge_poisson", "poisson_gauge",
-    # polydiff: StarProduct.exp and StarProduct.conjugation
-    "exp", "conjugation",
-    # simplex
-    "codegeneracy",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _definitions(tree: ast.Module):
-    """(name, node) of the top-level functions and classes and of the
-    methods of top-level classes."""
+    """(name, node) of the top-level functions, classes and assigned names
+    and of the methods of top-level classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -95,4 +98,30 @@ def test_only_the_allowlisted_names_lack_a_caller():
     assert not found - TEST_ONLY, f"names with no caller outside the tests: {sorted(found - TEST_ONLY)}"
     assert not TEST_ONLY - found, (
         f"allowlisted names that gained a caller or were deleted: {sorted(TEST_ONLY - found)}"
+    )
+
+
+# Where the basis multiplication of the parameter algebra may be read: the
+# algebra itself, whose ``extend`` is the one R-multilinear loop, and the two
+# product tables of the associativity oracle, which expand terms of
+# coefficients rather than products of parts.
+MUL_INDEX_READERS = {
+    ("params.py", "ParamAlgebra"),
+    ("polydiff.py", "_MonomialProducts"),
+    ("polydiff.py", "_LocalizedProducts"),
+}
+
+
+def test_only_the_parameter_algebra_and_the_oracle_read_mul_index():
+    found = set()
+    paths = sorted(PACKAGE.glob("*.py"))
+    paths += sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for name, _ in _references(top, strings=False):
+                if name == "mul_index":
+                    found.add((path.name, getattr(top, "name", None)))
+    assert found - MUL_INDEX_READERS == set(), (
+        f"mul_index read outside ParamAlgebra.extend and the oracle's tables: {sorted(found)}"
     )

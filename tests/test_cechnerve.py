@@ -25,9 +25,9 @@ from starcover.cechnerve import (
     CechComplex,
     _transport_polydiff,
     _transport_polyvec,
-    cech_face_map,
     extend_chart,
     identity_refinement,
+    push_payload,
     transport_payload,
 )
 from starcover.polydiff import PolydiffCarrier
@@ -39,6 +39,23 @@ from conftest import (
     shear_nerve,
     simplex_nerve,
 )
+
+
+def cech_face_map(element: DGLAElement, alpha, target_level: int) -> DGLAElement:
+    """g(alpha): level p -> level q for order-preserving alpha: [p] -> [q],
+    applied to every payload by push_payload."""
+    car = element.carrier
+    if not isinstance(car, CechCarrier):
+        raise NerveError("cech_face_map expects a Cech element")
+    p = car.level
+    q = target_level
+    alpha = tuple(alpha)
+    if len(alpha) != p + 1 or any(alpha[i] > alpha[i + 1] for i in range(p)):
+        raise NerveError("alpha must be order-preserving [p] -> [q]")
+    out_car = CechCarrier(car.nerve, car.kind, q, car.tdim)
+    return element.map_payload(
+        lambda x: push_payload(car.nerve, car.kind, alpha, q, x, car.tdim), carrier=out_car
+    )
 
 
 def two_chart_line():

@@ -6,6 +6,7 @@ import pytest
 
 from starcover import (
     AddDescentDatum,
+    AlgebraError,
     CechCarrier,
     ChartAlgebra,
     DGLAElement,
@@ -38,7 +39,7 @@ from starcover.descent import (
     trivial_datum_from_global,
 )
 from starcover.thomsullivan import integrate_component, level_zero_element
-from starcover.descent import _split_faces
+from starcover.descent import KIND_OF_FLAVOR, _flavor_of_kind, _split_faces, kind_of
 
 from conftest import one_chart_zero_and_moyal, rand_poly, shear_nerve, simplex_nerve
 
@@ -477,3 +478,14 @@ def test_vanishing_cohomology_always_trivializes(rng):
         datum = mdd_gauge(t, mdd)
         result = obstruction(datum)
         assert isinstance(result, TwistedTransformation)
+
+
+def test_flavor_table_maps_both_ways_and_rejects_unknown_names():
+    assert KIND_OF_FLAVOR == {"associative": "polydiff", "poisson": "polyvec"}
+    for flavor, kind in KIND_OF_FLAVOR.items():
+        assert kind_of(flavor) == kind
+        assert _flavor_of_kind(kind) == flavor
+    with pytest.raises(AlgebraError, match="unknown flavor"):
+        kind_of("polyvec")
+    with pytest.raises(AlgebraError, match="unknown carrier kind"):
+        _flavor_of_kind("poisson")

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -223,6 +224,52 @@ def test_cli_readme_samples(sample):
     argv = [str(DATA / a) if a.endswith(".json") else a for a in args]
     expected = (PINNED / f"{sample}.out").read_bytes().decode("utf-8")
     assert _run(argv) == (code, expected)
+
+
+# The options each command reads; every command also takes --out and --format.
+COMMAND_OPTIONS = {
+    "check-mdd": {"--cert-degree"},
+    "check-add": set(),
+    "exp-add": {"--cert-degree"},
+    "int-mc": set(),
+    "equiv": set(),
+    "obstruction": {"--against"},
+    "quantize": {"--order", "--cert-degree"},
+    "star-table": {"--cert-degree"},
+    "cohomology": {"--degree-bound"},
+    "selftest": {"--seed"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_cli_help_lists_exactly_the_options_read(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == COMMAND_OPTIONS[command] | {"--out", "--format"}
+
+
+def test_cli_rejects_an_option_the_command_ignores(capsys):
+    path = str(DATA / "trivial.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["equiv", path, path, "--order", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flavor", ["lie", ["poisson"], {"poisson": 1}, None])
+@pytest.mark.parametrize("command", ["check-mdd", "int-mc"])
+def test_cli_unknown_flavor(tmp_path, capsys, command, flavor):
+    if command == "int-mc":
+        obj = json.loads((DATA / "ts-pipeline.json").read_text(encoding="utf-8"))
+    else:
+        obj = octahedron_mdd_json()
+    obj["flavor"] = flavor
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "input error: flavor must be associative|poisson\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -20,6 +22,61 @@ def test_series_ring_axioms_hypothesis(a_terms, b_terms):
     assert a * b == b * a
     assert (a + b) * a == a * a + b * a
     assert (a * b).adic_order() >= min(a.adic_order() + b.adic_order(), 4) or (a * b).is_zero()
+
+
+@st.composite
+def extension_problems(draw):
+    """A parameter algebra (1-2 generators, order 1-4, maybe one extra
+    relation) and 1-3 factors {basis index: small int}, indices over the whole
+    basis so that products of high-order parts die."""
+    ngens = draw(st.integers(1, 2))
+    order = draw(st.integers(1, 4))
+    extra = draw(st.lists(
+        st.tuples(*[st.integers(0, 2)] * ngens).filter(lambda e: sum(e) > 0), max_size=1
+    ))
+    R = param_algebra_truncate(["h1", "h2"][:ngens], order, extra)
+    n = len(R.basis)
+    factor = st.dictionaries(st.integers(0, n - 1), st.integers(0, 3), max_size=4)
+    return R, draw(st.lists(factor, min_size=1, max_size=3))
+
+
+def reference_extend(R, op, add, *factors):
+    """R-multilinear extension by exponent sums looked up in the basis index."""
+    out = {}
+    for combo in itertools.product(*(list(f.items()) for f in factors)):
+        e = tuple(map(sum, zip(*(R.basis[i] for i, _ in combo))))
+        k = R.index.get(e)
+        if k is None:
+            continue
+        z = op(*(x for _, x in combo))
+        if z is not None:
+            out[k] = add(out[k], z) if k in out else z
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(extension_problems())
+def test_extend_matches_the_exponent_sum_reference(problem):
+    R, factors = problem
+    # tuples record which terms were summed and in what order; a leading 0
+    # stands for a term the operation drops
+    op = lambda *xs: None if xs[0] == 0 else (xs,)
+    got = R.extend(op, operator.add, *factors)
+    want = reference_extend(R, op, operator.add, *factors)
+    assert got == want
+    assert list(got) == list(want)
+
+
+def test_mul_index_is_memoized_exponent_sum_lookup():
+    R = param_algebra_truncate(["h1", "h2"], 3, [(1, 2)])
+    n = len(R.basis)
+    assert not R._products  # nothing is tabulated before a product is asked for
+    for _ in range(2):  # the first pass fills the memo, the second reads it
+        for i in range(n):
+            for j in range(n):
+                e = tuple(a + b for a, b in zip(R.basis[i], R.basis[j]))
+                assert R.mul_index(i, j) == R.index.get(e)
+    assert len(R._products) == n * n
 
 
 def test_truncation_basis():

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from starcover import Poly, SimplexForm, face_pullback, simplex_integrate
 from starcover.simplex import (
     coface,
-    codegeneracy,
     dirichlet_integral,
     stokes_boundary_integral,
     t_vars,
 )
+
+from conftest import codegeneracy
 
 
 def rand_form(rng, q, form_degree, maxdeg=2):

@@ -21,7 +21,7 @@ from starcover import (
 from starcover.cechnerve import extend_chart, transport_payload
 from starcover.exactalg import ChartAlgebra, Poly
 from starcover.polyvec import PolyvecCarrier
-from starcover.simplex import SimplexForm, codegeneracy, coface, face_pullback, t_vars
+from starcover.simplex import SimplexForm, coface, face_pullback, t_vars
 from starcover.thomsullivan import (
     TSCarrier,
     TSError,
@@ -31,6 +31,7 @@ from starcover.thomsullivan import (
 )
 
 from conftest import (
+    codegeneracy,
     rand_poly,
     rand_polydiff_payload,
     rand_polyvec_payload,
