@@ -64,7 +64,6 @@ from .cechnerve import (
     RestrictionMap,
     build_nerve,
     cech_cohomology,
-    cech_dgla,
     constant_nerve,
     octahedron_nerve,
 )

@@ -30,7 +30,6 @@ from .exactalg import (
     QQ,
 )
 from .dgla import Carrier, DGLAElement, NestedCarrier
-from .params import ParamAlgebra
 from .polyvec import PolyvecCarrier, merge_odd
 from .polydiff import PolydiffCarrier
 
@@ -39,6 +38,30 @@ Face = tuple[int, ...]
 
 class NerveError(AlgebraError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# the two flavours
+# ---------------------------------------------------------------------------
+
+# The one table of flavour and kind names: each chart-carrier class carries
+# its own ('poisson'/'polyvec' and 'associative'/'polydiff'), and what
+# differs between the flavours hangs off the class.
+CHART_CARRIERS = (PolyvecCarrier, PolydiffCarrier)
+
+
+def carrier_of_flavor(flavor: str) -> type:
+    for cls in CHART_CARRIERS:
+        if cls.flavor == flavor:
+            return cls
+    raise AlgebraError(f"unknown flavor {flavor!r}")
+
+
+def carrier_of_kind(kind: str) -> type:
+    for cls in CHART_CARRIERS:
+        if cls.kind == kind:
+            return cls
+    raise AlgebraError(f"unknown carrier kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +150,11 @@ class RestrictionMap:
         inert simplex coordinates on both charts.  Along the identity the
         payload comes back unchanged; every other map takes the general
         route, which is the oracle for that shortcut in the tests."""
+        cls = carrier_of_kind(kind)
         if self.is_identity():
             return dict(payload)
         rm = self.extended(tdim) if tdim else self
-        if kind == "polyvec":
+        if cls is PolyvecCarrier:
             return _transport_polyvec(rm, payload)
         src_car = PolydiffCarrier(rm.source, range(len(self.source.variables)))
         tgt_car = PolydiffCarrier(rm.target, range(len(self.target.variables)))
@@ -503,8 +527,7 @@ class CechCarrier(NestedCarrier):
     optionally over t-extended charts (Thom-Sullivan use)."""
 
     def __init__(self, nerve: CoverNerve, kind: str, level: int, tdim: int = 0):
-        if kind not in ("polyvec", "polydiff"):
-            raise NerveError(f"unknown carrier kind {kind!r}")
+        cls = carrier_of_kind(kind)
         self.nerve = nerve
         self.kind = kind
         self.level = level
@@ -512,11 +535,7 @@ class CechCarrier(NestedCarrier):
         self.face_carriers: dict[Face, Carrier] = {}
         for f in nerve.level_faces(level):
             chart = extend_chart(nerve.algebra(f), tdim)
-            deriv = tuple(range(len(nerve.algebra(f).variables)))
-            if kind == "polyvec":
-                self.face_carriers[f] = PolyvecCarrier(chart, deriv)
-            else:
-                self.face_carriers[f] = PolydiffCarrier(chart, deriv)
+            self.face_carriers[f] = cls(chart, range(len(nerve.algebra(f).variables)))
 
     def __eq__(self, other):
         return (
@@ -575,25 +594,6 @@ def push_payload(
         if v:
             out[tau] = v
     return out
-
-
-def cech_dgla(nerve: CoverNerve, kind: str, algebra: ParamAlgebra):
-    """Handle for the cosimplicial DG Lie algebra of a nerve: carriers per
-    level plus the face-map action."""
-    return CechHandle(nerve, kind, algebra)
-
-
-@dataclass
-class CechHandle:
-    nerve: CoverNerve
-    kind: str
-    algebra: ParamAlgebra
-
-    def carrier(self, level: int, tdim: int = 0) -> CechCarrier:
-        return CechCarrier(self.nerve, self.kind, level, tdim)
-
-    def zero(self, level: int, degree: int) -> DGLAElement:
-        return DGLAElement.zero(self.carrier(level), self.algebra, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -38,33 +38,16 @@ from .cechnerve import (
     Face,
     LayerSpec,
     NerveError,
+    carrier_of_flavor,
+    carrier_of_kind,
     transport_payload,
 )
-from .polyvec import PolyvecCarrier, poisson_from_mc
-from .polydiff import (
-    PolydiffCarrier,
-    _candidate_slots,
-    monomial_basis,
-    star_from_mc,
-    sufficient_cert_degree,
-)
+from .polydiff import monomial_basis
 from .thomsullivan import TSHandle, integrate_component, level_zero_element, validate_compatibility
 
 
-KIND_OF_FLAVOR = {"associative": "polydiff", "poisson": "polyvec"}
-
-
-def kind_of(flavor: str) -> str:
-    if flavor not in KIND_OF_FLAVOR:
-        raise AlgebraError(f"unknown flavor {flavor!r}")
-    return KIND_OF_FLAVOR[flavor]
-
-
 def face_carrier(nerve: CoverNerve, flavor: str, face: Face):
-    chart = nerve.algebra(face)
-    if flavor == "associative":
-        return PolydiffCarrier(chart)
-    return PolyvecCarrier(chart)
+    return carrier_of_flavor(flavor)(nerve.algebra(face))
 
 
 def move(nerve: CoverNerve, flavor: str, f: Face, g: Face, elt: DGLAElement) -> DGLAElement:
@@ -73,7 +56,7 @@ def move(nerve: CoverNerve, flavor: str, f: Face, g: Face, elt: DGLAElement) -> 
         return elt
     car = face_carrier(nerve, flavor, g)
     return elt.map_payload(
-        lambda pay: transport_payload(nerve, kind_of(flavor), f, g, pay), carrier=car
+        lambda pay: transport_payload(nerve, car.kind, f, g, pay), carrier=car
     )
 
 
@@ -279,17 +262,13 @@ def check_mdd(datum: MultDescentDatum, cert_degree: Optional[int] = None) -> Che
         a = _get(datum.triple_units, nerve, flavor, alg, t, -1)
         ig_log = twisted_d(b0, a)
         # operator comparison on the monomial basis of the triple overlap
-        if flavor == "poisson":
-            degree = 3 if cert_degree is None else cert_degree
-        else:
-            degree = sufficient_cert_degree(
-                [g01, g02, g12, ig_log, datum.locals[k0].element], cert_degree
-            )
+        car = face_carrier(nerve, flavor, t)
+        degree = car.cert_degree([g01, g02, g12, ig_log, datum.locals[k0].element], cert_degree)
         F01 = gauge_operator(g01)
         F12 = gauge_operator(g12)
         F20 = gauge_operator(-g02)
         IG = gauge_operator(ig_log)
-        for m in monomial_basis(face_carrier(nerve, flavor, t), alg, degree):
+        for m in monomial_basis(car, alg, degree):
             diff = F20(F12(F01(m))) - IG(m)
             if not diff.is_zero():
                 _record(violations, "ii", t, diff)
@@ -315,11 +294,7 @@ def exp_add(datum: AddDescentDatum, check: bool = True, cert_degree: Optional[in
     locals_: dict = {}
     for k in nerve.level_faces(0):
         b = _get(datum.delta0, nerve, flavor, alg, k, 1)
-        mc = require_mc(b)
-        if flavor == "associative":
-            locals_[k] = star_from_mc(mc, cert_degree).beta
-        else:
-            locals_[k] = poisson_from_mc(mc).beta
+        locals_[k] = b.carrier.structure_from_mc(require_mc(b), cert_degree).beta
     out = MultDescentDatum(
         nerve, flavor, alg, locals_, dict(datum.delta1), dict(datum.delta2)
     )
@@ -445,11 +420,7 @@ class LayerWindow:
         monos = car.chart.monomials_up_to(self.coeff_degree)
         if degree == -1:
             return [{(): m} for m in monos]
-        if self.flavor == "poisson":
-            keys = itertools.combinations(car.deriv_indices, degree + 1)
-        else:  # normalized slot tuples
-            keys = _candidate_slots(car.nderiv, self.slot_bound * (degree + 1), degree + 1)
-        return [{key: m} for key in keys for m in monos]
+        return [{key: m} for key in car.window_keys(degree, self.slot_bound) for m in monos]
 
     def coords(self, face: Face, payload) -> dict:
         """{(payload key, exponent) -> Fraction}; errors leaving the window."""
@@ -776,7 +747,7 @@ def int_mc(handle: TSHandle, beta: DGLAElement | MCElement) -> AddDescentDatum:
     b = beta.element if isinstance(beta, MCElement) else beta
     validate_compatibility(b)
     require_mc(b)
-    nerve, flavor, alg = handle.nerve, _flavor_of_kind(handle.kind), handle.algebra
+    nerve, flavor, alg = handle.nerve, carrier_of_kind(handle.kind).flavor, handle.algebra
     delta0 = _split_faces(level_zero_element(handle, b), nerve, flavor, alg, 1)
     delta1 = _split_faces(integrate_component(handle, b, 1), nerve, flavor, alg, 0)
     delta2 = _split_faces(integrate_component(handle, b, 2), nerve, flavor, alg, -1)
@@ -797,13 +768,6 @@ def int_mc(handle: TSHandle, beta: DGLAElement | MCElement) -> AddDescentDatum:
     if not rep.ok:
         raise AlgebraError("int_mc failed to produce a valid datum: " + rep.render())
     return datum
-
-
-def _flavor_of_kind(kind: str) -> str:
-    for flavor, k in KIND_OF_FLAVOR.items():
-        if k == kind:
-            return flavor
-    raise AlgebraError(f"unknown carrier kind {kind!r}")
 
 
 def _split_faces(element: DGLAElement, nerve, flavor, alg, degree) -> dict:
@@ -828,7 +792,6 @@ def _int_correct(datum: AddDescentDatum, p: int, defects: Mapping) -> AddDescent
     (i)-(iv), given their ``defects`` as check_add computed them;
     inconsistency surfaces as an error naming the order."""
     nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
-    kind = kind_of(flavor)
     window = LayerWindow(
         nerve, flavor, _window_degree(defects.values()), _slot_bound(defects.values())
     )
@@ -857,7 +820,7 @@ def _int_correct(datum: AddDescentDatum, p: int, defects: Mapping) -> AddDescent
                 if src == face:
                     img = car.d(atom, degree)
                 else:
-                    img = transport_payload(nerve, kind, src, face, atom)
+                    img = transport_payload(nerve, car.kind, src, face, atom)
                 coords = window.coords(face, img).items() if img else ()
                 for li in layer_idx:
                     for ck, v in coords:

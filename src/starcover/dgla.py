@@ -66,9 +66,13 @@ class SparseCarrier(Carrier):
     chart carriers, whose coefficients are LocalizedPolys and whose
     ``deriv_indices`` list the chart variables they differentiate (others,
     such as simplex coordinates, are inert scalars).  A function is the
-    degree -1 payload {(): c}.  Each subclass supplies the text of one key
-    (``_render_key``) and the action of a degree-0 logarithm on a function
-    (``act_once``)."""
+    degree -1 payload {(): c}.  Each subclass is one flavour: it carries
+    the flavour's public names (``flavor``, ``kind``, ``noun``) and supplies
+    what differs between the flavours: the text of one key
+    (``_render_key``), the action of a degree-0 logarithm on a function
+    (``act_once``), the keys of a layer unknown (``window_keys``), the
+    structure of an MC element (``structure_from_mc``) and the monomial
+    degree of an operator comparison (``cert_degree``)."""
 
     def __init__(self, chart: ChartAlgebra, deriv_indices: Optional[Sequence[int]] = None):
         self.chart = chart

@@ -18,16 +18,10 @@ from .params import ParamAlgebra, ParamSeries, param_algebra_truncate
 from .dgla import DGLAElement, require_mc
 from .polyvec import PolyvecCarrier, merge_odd
 from .polydiff import PolydiffCarrier
-from .cechnerve import CoverNerve, RestrictionMap, build_nerve
-from .descent import (
-    AddDescentDatum,
-    MultDescentDatum,
-    KIND_OF_FLAVOR,
-    face_carrier,
-    kind_of,
-)
+from .cechnerve import CechCarrier, CoverNerve, RestrictionMap, build_nerve
+from .cechnerve import carrier_of_flavor, carrier_of_kind
+from .descent import AddDescentDatum, MultDescentDatum, face_carrier
 from .thomsullivan import ts_normalize, whitney
-from .cechnerve import CechCarrier
 
 
 class FormatError(ValueError):
@@ -81,9 +75,7 @@ class ExprContext:
         deriv = [
             i for i, v in enumerate(self.chart.variables) if not _is_tvar(v)
         ]
-        if self.carrier_kind == "polyvec":
-            return PolyvecCarrier(self.chart, deriv)
-        return PolydiffCarrier(self.chart, deriv)
+        return carrier_of_kind(self.carrier_kind)(self.chart, deriv)
 
 
 def _is_tvar(name: str) -> bool:
@@ -252,7 +244,7 @@ class ExprParser:
                 alpha = tuple(int(x) for x in body.split(",")) if body else ()
             except ValueError:
                 raise FormatError(f"slot {val} needs comma-separated integers") from None
-            if self.ctx.carrier_kind != "polydiff":
+            if not isinstance(self.car, PolydiffCarrier):
                 raise FormatError(f"slot {val} needs a polydifferential context")
             deriv = [
                 i for i, v2 in enumerate(self.ctx.chart.variables) if not _is_tvar(v2)
@@ -268,7 +260,7 @@ class ExprParser:
             if val in self.ctx.chart.variables:
                 return _Value(self.ctx.algebra.one(), self.ctx.chart.var(val))
             if val.startswith("d") and val[1:] in self.ctx.chart.variables:
-                if self.ctx.carrier_kind != "polyvec":
+                if not isinstance(self.car, PolyvecCarrier):
                     raise FormatError(f"direction {val} needs a polyvector context")
                 i = self.ctx.chart.variables.index(val[1:])
                 return _Value(self.ctx.algebra.one(), self.ctx.chart.one(), ("vec", (i,)))
@@ -413,8 +405,7 @@ def load_expression(ctx: ExprContext, obj: Mapping, key: str, degree: int) -> DG
     text = obj.get(key)
     _require(isinstance(text, str), f"{key} must be an expression string")
     elt = parse_element(ctx, text)
-    kind = {"polyvec": "polyvector", "polydiff": "cochain"}[ctx.carrier_kind]
-    _require(elt.degree == degree, f"{key} expression must have {kind} degree {degree}")
+    _require(elt.degree == degree, f"{key} expression must have {elt.carrier.noun} degree {degree}")
     return elt
 
 
@@ -516,17 +507,20 @@ def parse_localized(chart: ChartAlgebra, text: str) -> LocalizedPoly:
     return elt.parts[0].get((), chart.zero())
 
 
-def _datum_ctx(nerve: CoverNerve, flavor: str, algebra: ParamAlgebra, face) -> ExprContext:
-    return ExprContext(algebra, nerve.algebra(face), kind_of(flavor))
+def _load_flavor(obj: Mapping) -> type:
+    """The chart-carrier class of the flavour obj["flavor"]."""
+    try:
+        return carrier_of_flavor(obj.get("flavor"))
+    except AlgebraError:
+        raise FormatError("flavor must be associative|poisson") from None
 
 
 def load_descent(obj: Mapping):
     _require(obj.get("schema") == 1, "descent datum: schema must be 1")
     kind = obj.get("kind")
     _require(kind in ("mdd", "add"), "kind must be 'mdd' or 'add'")
-    flavor = obj.get("flavor")
-    _require(isinstance(flavor, str) and flavor in KIND_OF_FLAVOR,
-             "flavor must be associative|poisson")
+    cls = _load_flavor(obj)
+    flavor = cls.flavor
     algebra = load_params(obj.get("params"))
     nerve = load_nerve(obj.get("nerve"))
     keys = ("locals", "edges", "triples") if kind == "mdd" else ("delta0", "delta1", "delta2")
@@ -540,8 +534,7 @@ def load_descent(obj: Mapping):
             face = _face_of(label, nerve.indices)
             _require(len(face) == level + 1, f"{key}: face {label!r} has the wrong level")
             _require(face in nerve.faces, f"{key}: face {label!r} absent from the nerve")
-            ctx = _datum_ctx(nerve, flavor, algebra, face)
-            elt = parse_element(ctx, text)
+            elt = parse_element(ExprContext(algebra, nerve.algebra(face), cls.kind), text)
             _require(elt.degree == degree or elt.is_zero(),
                      f"{key}[{label}]: expected degree {degree}")
             if elt.is_zero():
@@ -565,21 +558,19 @@ def load_ts_element(obj: Mapping):
     """Thom-Sullivan input: a sum of Whitney images of Cech cochains, plus an
     optional TS gauge (also Whitney-built) acting on it, plus raw components."""
     _require(obj.get("schema") == 1, "ts element: schema must be 1")
-    flavor = obj.get("flavor")
-    _require(isinstance(flavor, str) and flavor in KIND_OF_FLAVOR,
-             "flavor must be associative|poisson")
+    kind = _load_flavor(obj).kind
     algebra = load_params(obj.get("params"))
     nerve = load_nerve(obj.get("nerve"))
-    handle = ts_normalize(nerve, kind_of(flavor), algebra)
+    handle = ts_normalize(nerve, kind, algebra)
     beta = handle.zero(1)
     for spec in _spec_list(obj, "whitney"):
-        beta = beta + _whitney_from_spec(handle, nerve, flavor, algebra, spec, total_degree=1)
+        beta = beta + _whitney_from_spec(handle, spec, total_degree=1)
     for spec in _spec_list(obj, "components"):
-        beta = beta + _raw_ts_component(handle, nerve, flavor, algebra, spec)
+        beta = beta + _raw_ts_component(handle, spec)
     from .dgla import gauge_act
 
     for spec in _spec_list(obj, "gauge"):
-        g = _whitney_from_spec(handle, nerve, flavor, algebra, spec, total_degree=0)
+        g = _whitney_from_spec(handle, spec, total_degree=0)
         beta = gauge_act(g, beta)
     return handle, beta
 
@@ -591,19 +582,19 @@ def _spec_list(obj: Mapping, key: str) -> list:
     return specs
 
 
-def _whitney_from_spec(handle, nerve, flavor, algebra, spec, total_degree):
+def _whitney_from_spec(handle, spec, total_degree):
+    nerve, algebra = handle.nerve, handle.algebra
     q = spec.get("q")
     _require(isinstance(q, int) and q >= 0, "whitney spec needs q >= 0")
     internal = total_degree - q
-    car = CechCarrier(nerve, kind_of(flavor), q, 0)
+    car = CechCarrier(nerve, handle.kind, q, 0)
     parts: dict = {}
     values = spec.get("values") or {}
     _require(_strings(values, dict), "whitney spec values must map faces to expression strings")
     for label, text in sorted(values.items()):
         face = _face_of(label, nerve.indices)
         _require(len(face) == q + 1, f"whitney value face {label!r} has level != q")
-        ctx = _datum_ctx(nerve, flavor, algebra, face)
-        elt = parse_element(ctx, text)
+        elt = parse_element(ExprContext(algebra, nerve.algebra(face), handle.kind), text)
         _require(elt.degree == internal or elt.is_zero(),
                  f"whitney value at {label!r}: expected internal degree {internal}")
         for bi, payload in elt.parts.items():
@@ -612,7 +603,8 @@ def _whitney_from_spec(handle, nerve, flavor, algebra, spec, total_degree):
     return whitney(handle, q, cochain)
 
 
-def _raw_ts_component(handle, nerve, flavor, algebra, spec):
+def _raw_ts_component(handle, spec):
+    nerve, algebra = handle.nerve, handle.algebra
     level = spec.get("level")
     dts = spec.get("dts", [])
     label = spec.get("face")
@@ -630,8 +622,7 @@ def _raw_ts_component(handle, nerve, flavor, algebra, spec):
     from .cechnerve import extend_chart
 
     chart = extend_chart(nerve.algebra(face), level)
-    ctx = ExprContext(algebra, chart, kind_of(flavor))
-    elt = parse_element(ctx, text)
+    elt = parse_element(ExprContext(algebra, chart, handle.kind), text)
     internal = 1 - len(dts)
     _require(elt.degree == internal, f"ts component at {label!r}: wrong internal degree")
     payload: dict = {}

@@ -93,7 +93,11 @@ def _splittings(alpha: Exponent, parts: int) -> tuple:
 
 
 class PolydiffCarrier(SparseCarrier):
-    """D_poly^nor over a chart."""
+    """D_poly^nor over a chart: the carrier of the associative flavour."""
+
+    flavor = "associative"
+    kind = "polydiff"
+    noun = "cochain"
 
     @property
     def nderiv(self) -> int:
@@ -250,6 +254,17 @@ class PolydiffCarrier(SparseCarrier):
     def act_once(self, log: DGLAElement, u: DGLAElement) -> DGLAElement:
         """The 1-slot differential operator applied to a function."""
         return apply_cochain(log, [u])
+
+    def window_keys(self, degree: int, slot_bound: int):
+        """The keys of a degree-``degree`` unknown: normalized slot tuples of
+        total order at most ``slot_bound`` per slot."""
+        return _candidate_slots(self.nderiv, slot_bound * (degree + 1), degree + 1)
+
+    def structure_from_mc(self, mc: MCElement, cert_degree: Optional[int]) -> "StarProduct":
+        return star_from_mc(mc, cert_degree)
+
+    def cert_degree(self, elements: Sequence[DGLAElement], requested: Optional[int]) -> int:
+        return sufficient_cert_degree(elements, requested)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ through as scalars.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -50,7 +51,11 @@ def merge_odd(a: VecKey, b: VecKey) -> Optional[tuple[VecKey, int]]:
 
 
 class PolyvecCarrier(SparseCarrier):
-    """T_poly over a chart."""
+    """T_poly over a chart: the carrier of the Poisson flavour."""
+
+    flavor = "poisson"
+    kind = "polyvec"
+    noun = "polyvector"
 
     def d(self, x: VecPayload, degree: int) -> VecPayload:
         return {}
@@ -153,6 +158,18 @@ class PolyvecCarrier(SparseCarrier):
         """ad(log) on a function: the vector field's derivative."""
         return log.bracket(u)
 
+    def window_keys(self, degree: int, slot_bound: int):
+        """The keys of a degree-``degree`` unknown: every increasing index
+        tuple (a polyvector has no slot orders to bound)."""
+        return itertools.combinations(self.deriv_indices, degree + 1)
+
+    def structure_from_mc(self, mc: MCElement, cert_degree: Optional[int]) -> "PoissonStructure":
+        return poisson_from_mc(mc)
+
+    def cert_degree(self, elements: Sequence[DGLAElement], requested: Optional[int]) -> int:
+        """Monomial degree of an operator comparison: 3 unless requested."""
+        return 3 if requested is None else requested
+
 
 # ---------------------------------------------------------------------------
 # R (x) C elements and the module-level operations
@@ -188,9 +205,8 @@ class PoissonStructure:
         parts = self.algebra.extend(pair, car.add, self.beta.element.parts, u.parts, v.parts)
         return DGLAElement(car, self.algebra, -1, parts)
 
-    def bracket_table(self, degree: int) -> dict[tuple[str, str], DGLAElement]:
-        """{x_i, x_j} for all monomial pairs of total degree <= degree is big;
-        the generator table is what callers want."""
+    def bracket_table(self) -> dict[tuple[str, str], DGLAElement]:
+        """{x_i, x_j} on the pairs of coordinate generators."""
         car = self.carrier
         out = {}
         names = car.chart.variables

@@ -48,16 +48,20 @@ def _rand_poly(rng, chart, maxdeg=2, terms=2):
     return LocalizedPoly(chart, Poly(chart.variables, t))
 
 
+def _rand_polyvec_payload(rng, car, degree, maxdeg=2):
+    pay = car.zero()
+    for k in itertools.combinations(car.deriv_indices, degree + 1):
+        if rng.random() < 0.6:
+            pay = car.add(pay, car.term(k, _rand_poly(rng, car.chart, maxdeg)))
+    return pay
+
+
 def _rand_polyvec(rng, car, alg, degree, minorder=0):
-    keys = list(itertools.combinations(car.deriv_indices, degree + 1))
     parts = {}
     for i in range(len(alg.basis)):
         if alg.basis_order(i) < minorder:
             continue
-        pay = car.zero()
-        for k in keys:
-            if rng.random() < 0.6:
-                pay = car.add(pay, car.term(k, _rand_poly(rng, car.chart)))
+        pay = _rand_polyvec_payload(rng, car, degree)
         if not car.is_zero(pay):
             parts[i] = pay
     return DGLAElement(car, alg, degree, parts)
@@ -132,7 +136,7 @@ def run(seed: int = 0) -> list[dict]:
         beta = DGLAElement.single(vcar, alg, 1, 1, pi)
         assert isinstance(mc_check(beta), MCElement)
         P = poisson_from_mc(beta)
-        table = P.bracket_table(2)
+        table = P.bracket_table()
         assert table[("x", "y")].render() == "hbar * 1/2*z"
 
     check("so(3) bivector is MC with {x,y} = hbar z / 2", so3_poisson)

@@ -21,20 +21,12 @@ from starcover import (
 from starcover.exactalg import _compositions
 from starcover.polydiff import _moyal_exponential
 from starcover.selftest import _rand_poly as rand_poly
+from starcover.selftest import _rand_polyvec_payload as rand_polyvec_payload
 
 
 def codegeneracy(i: int, q: int) -> tuple[int, ...]:
     """The i-th codegeneracy [q+1] -> [q] (repeats i)."""
     return tuple(j if j <= i else j - 1 for j in range(q + 2))
-
-
-def rand_polyvec_payload(rng, car, degree, maxdeg=2):
-    keys = list(itertools.combinations(car.deriv_indices, degree + 1))
-    pay = car.zero()
-    for k in keys:
-        if rng.random() < 0.6:
-            pay = car.add(pay, car.term(k, rand_poly(rng, car.chart, maxdeg)))
-    return pay
 
 
 def rand_polydiff_payload(rng, car, degree, max_slot=2, maxdeg=2):

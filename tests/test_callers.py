@@ -22,7 +22,7 @@ PACKAGE = ROOT / "src" / "starcover"
 # and remove it here in the same change.
 TEST_ONLY = {
     # cechnerve
-    "pull_sections", "cech_dgla", "identity_refinement",
+    "pull_sections", "identity_refinement",
     # descent
     "minimal_conditions", "invert_transformation", "trivial_datum_from_global",
     # dgla
@@ -125,3 +125,42 @@ def test_only_the_parameter_algebra_and_the_oracle_read_mul_index():
     assert found - MUL_INDEX_READERS == set(), (
         f"mul_index read outside ParamAlgebra.extend and the oracle's tables: {sorted(found)}"
     )
+
+
+# The flavour and kind names.  Each chart-carrier class carries its own
+# (``PolyvecCarrier.flavor``, ``.kind``), ``cechnerve.carrier_of_flavor`` and
+# ``carrier_of_kind`` are the one table from a name to its class, and what
+# differs between the flavours hangs off the class.  A comparison with one
+# of these names, or a dict or set literal that holds one, is a second table.
+FLAVOR_NAMES = {"associative", "poisson", "polyvec", "polydiff"}
+
+
+def flavor_name_decisions() -> list:
+    """(module, line) of every ``==``/``!=``/``in``/``not in`` comparison
+    and every dict or set literal in the package with a flavour or kind name
+    as a string constant."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops
+            ):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.Dict):
+                operands = [k for k in node.keys if k is not None] + node.values
+            elif isinstance(node, ast.Set):
+                operands = node.elts
+            else:
+                continue
+            if any(
+                isinstance(c, ast.Constant) and c.value in FLAVOR_NAMES
+                for operand in operands
+                for c in ast.walk(operand)
+            ):
+                found.append((path.name, node.lineno))
+    return found
+
+
+def test_no_module_decides_the_flavour_by_name():
+    found = flavor_name_decisions()
+    assert not found, f"flavour or kind name compared or tabled outside the carrier classes: {found}"

@@ -16,7 +16,6 @@ from starcover import (
     RestrictionMap,
     build_nerve,
     cech_cohomology,
-    cech_dgla,
     constant_nerve,
     octahedron_nerve,
     param_algebra_truncate,
@@ -160,8 +159,7 @@ def test_missing_restriction_rejected():
 def test_cech_dgla_levelwise(rng):
     nerve = simplex_nerve(3)
     R = param_algebra_truncate(["hbar"], 2)
-    handle = cech_dgla(nerve, "polyvec", R)
-    car1 = handle.carrier(1)
+    car1 = CechCarrier(nerve, "polyvec", 1)
     # build a random level-1 element and check the inherited axioms
     def rand_level(deg):
         parts = {}

@@ -39,7 +39,16 @@ from starcover.descent import (
     trivial_datum_from_global,
 )
 from starcover.thomsullivan import integrate_component, level_zero_element
-from starcover.descent import KIND_OF_FLAVOR, _flavor_of_kind, _split_faces, kind_of
+from starcover.descent import _split_faces
+from starcover.cechnerve import (
+    CHART_CARRIERS,
+    carrier_of_flavor,
+    carrier_of_kind,
+    transport_payload,
+)
+from starcover.formats import ExprContext
+from starcover.polydiff import PolydiffCarrier
+from starcover.polyvec import PolyvecCarrier
 
 from conftest import one_chart_zero_and_moyal, rand_poly, shear_nerve, simplex_nerve
 
@@ -481,11 +490,60 @@ def test_vanishing_cohomology_always_trivializes(rng):
 
 
 def test_flavor_table_maps_both_ways_and_rejects_unknown_names():
-    assert KIND_OF_FLAVOR == {"associative": "polydiff", "poisson": "polyvec"}
-    for flavor, kind in KIND_OF_FLAVOR.items():
-        assert kind_of(flavor) == kind
-        assert _flavor_of_kind(kind) == flavor
+    assert CHART_CARRIERS == (PolyvecCarrier, PolydiffCarrier)
+    for flavor, kind, cls in (
+        ("associative", "polydiff", PolydiffCarrier),
+        ("poisson", "polyvec", PolyvecCarrier),
+    ):
+        assert carrier_of_flavor(flavor) is cls and carrier_of_kind(kind) is cls
+        assert (cls.flavor, cls.kind) == (flavor, kind)
     with pytest.raises(AlgebraError, match="unknown flavor"):
-        kind_of("polyvec")
+        carrier_of_flavor("polyvec")
     with pytest.raises(AlgebraError, match="unknown carrier kind"):
-        _flavor_of_kind("poisson")
+        carrier_of_kind("poisson")
+
+
+@pytest.mark.parametrize("name", ["lie", "polydiff", "polyvec"])
+def test_face_carrier_rejects_a_name_that_is_no_flavour(name):
+    with pytest.raises(AlgebraError, match="unknown flavor"):
+        face_carrier(octahedron_nerve(), name, (0,))
+
+
+_KIND_ENTRIES = {
+    "CechCarrier": lambda nerve, name: CechCarrier(nerve, name, 0),
+    "ts_normalize": lambda nerve, name: ts_normalize(
+        nerve, name, param_algebra_truncate(["hbar"], 1)
+    ),
+    "transport_payload": lambda nerve, name: transport_payload(nerve, name, (1,), (0, 1), {}),
+    "ExprContext.carrier": lambda nerve, name: ExprContext(
+        param_algebra_truncate(["hbar"], 1), nerve.algebra((0,)), name
+    ).carrier(),
+}
+
+
+@pytest.mark.parametrize("name", ["lie", "poisson", "associative"])
+@pytest.mark.parametrize("entry", sorted(_KIND_ENTRIES))
+@pytest.mark.parametrize("nerve", [simplex_nerve(2), shear_nerve(2)], ids=["identity", "shear"])
+def test_kind_entries_reject_a_name_that_is_no_kind(entry, name, nerve):
+    """On both an identity and a non-identity restriction: along the
+    identity, transport returns the payload without reading it."""
+    with pytest.raises(AlgebraError, match="unknown carrier kind"):
+        _KIND_ENTRIES[entry](nerve, name)
+
+
+def test_check_mdd_poisson_compares_operators_beyond_constants():
+    """A lone edge gauge x*d/dy on a 3-chart cover with zero locals passes
+    every additive condition, and fails (ii) on the triangle only as an
+    operator on non-constant functions: 1 is fixed by every gauge."""
+    nerve = simplex_nerve(3)
+    R = param_algebra_truncate(["hbar"], 1)
+    locals_ = {
+        k: require_mc(DGLAElement.zero(face_carrier(nerve, "poisson", k), R, 1))
+        for k in nerve.level_faces(0)
+    }
+    car = face_carrier(nerve, "poisson", (0, 1))
+    g = DGLAElement.single(car, R, 0, 1, car.vector_field({1: car.chart.var("x")}))
+    datum = MultDescentDatum(nerve, "poisson", R, locals_, {(0, 1): g}, {})
+    rep = check_mdd(datum)
+    assert [(v.condition, v.face) for v in rep.violations] == [("ii", (0, 1, 2))]
+    assert check_mdd(datum, 0).ok

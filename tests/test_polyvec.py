@@ -171,7 +171,7 @@ def test_poisson_from_mc_values():
     assert zero.bracket(x, y).is_zero()
     car3 = PolyvecCarrier(C3)
     beta3 = DGLAElement.single(car3, R, 1, 1, so3_payload(car3))
-    table = poisson_from_mc(beta3).bracket_table(2)
+    table = poisson_from_mc(beta3).bracket_table()
     assert table[("x", "y")].render() == "hbar * 1/2*z"
     assert table[("x", "z")].render() == "hbar * (-1/2*y)"
     assert table[("y", "z")].render() == "hbar * 1/2*x"
