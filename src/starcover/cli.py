@@ -174,25 +174,25 @@ def cmd_obstruction(args) -> int:
 
 
 def _load_params_and_chart(obj):
-    if obj.get("schema") != 1:
+    if not formats.json_int(obj.get("schema"), 1, 1):
         raise FormatError("schema must be 1")
     return formats.load_params(obj.get("params")), formats.load_chart(obj.get("chart"))
 
 
-def _load_poisson_input(obj):
+def _load_bivector(obj, order=None):
+    """The bivector of a Poisson input, over its parameter algebra truncated
+    at ``order`` when given."""
     algebra, chart = _load_params_and_chart(obj)
+    if order is not None:
+        if order < 1:
+            raise FormatError("--order must be >= 1")
+        algebra = param_algebra_truncate(algebra.gens, order, algebra.extra_relations)
     ctx = formats.ExprContext(algebra, chart, "polyvec")
-    return algebra, chart, formats.load_expression(ctx, obj, "bivector", 1)
+    return formats.load_expression(ctx, obj, "bivector", 1)
 
 
 def cmd_quantize(args) -> int:
-    obj = _load_json(args.input)
-    algebra, chart, elt = _load_poisson_input(obj)
-    if args.order is not None:
-        algebra2 = param_algebra_truncate(algebra.gens, args.order, algebra.extra_relations)
-        ctx = formats.ExprContext(algebra2, chart, "polyvec")
-        elt = formats.load_expression(ctx, obj, "bivector", 1)
-        algebra = algebra2
+    elt = _load_bivector(_load_json(args.input), args.order)
     structure = pv.poisson_from_mc(require_mc(elt))
     star = pd.quantize_affine_order2(structure, args.cert_degree)
     table = _star_table(star, args.cert_degree or 2)
@@ -232,7 +232,7 @@ def cmd_star_table(args) -> int:
         beta = formats.load_expression(ctx, obj, "beta", 1)
         star = pd.star_from_mc(beta, args.cert_degree)
     else:
-        algebra, chart, elt = _load_poisson_input(obj)
+        elt = _load_bivector(obj)
         star = pd.quantize_affine_order2(pv.poisson_from_mc(require_mc(elt)), args.cert_degree)
     table = _star_table(star, args.cert_degree or 2)
     report = {"command": "star-table", "table": table}

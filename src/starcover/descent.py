@@ -15,7 +15,7 @@ definitional.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional
 
 from .exactalg import AlgebraError, ExactSystem, QQ
@@ -50,51 +50,58 @@ def face_carrier(nerve: CoverNerve, flavor: str, face: Face):
     return carrier_of_flavor(flavor)(nerve.algebra(face))
 
 
-def move(nerve: CoverNerve, flavor: str, f: Face, g: Face, elt: DGLAElement) -> DGLAElement:
-    """Transport a per-face element along the restriction f <= g."""
-    if f == g:
-        return elt
-    car = face_carrier(nerve, flavor, g)
-    return elt.map_payload(
-        lambda pay: transport_payload(nerve, car.kind, f, g, pay), carrier=car
-    )
-
-
 # ---------------------------------------------------------------------------
 # data
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class MultDescentDatum:
+class DescentDatum:
+    """What a descent datum of either kind shares: the nerve, flavour and
+    parameter algebra its per-face components live over, and the one way
+    those components are read."""
+
     nerve: CoverNerve
     flavor: str
     algebra: ParamAlgebra
+
+    def carrier(self, face: Face):
+        return face_carrier(self.nerve, self.flavor, face)
+
+    def move(self, f: Face, g: Face, elt: DGLAElement) -> DGLAElement:
+        """Transport a per-face element along the restriction f <= g."""
+        if f == g:
+            return elt
+        car = self.carrier(g)
+        return elt.map_payload(
+            lambda pay: transport_payload(self.nerve, car.kind, f, g, pay), carrier=car
+        )
+
+    def at(self, data: Mapping, f: Face, degree: int, g: Optional[Face] = None) -> DGLAElement:
+        """The component of ``data`` at f, the zero of ``degree`` when
+        absent, moved to g when g is given."""
+        v = data.get(f)
+        if v is None:
+            return DGLAElement.zero(self.carrier(f if g is None else g), self.algebra, degree)
+        return v if g is None else self.move(f, g, v)
+
+    def copy(self):
+        """The same datum over fresh component dicts."""
+        return replace(self, **{k: dict(v) for k, v in vars(self).items() if isinstance(v, dict)})
+
+
+@dataclass
+class MultDescentDatum(DescentDatum):
     locals: dict  # chart face -> MCElement (per-face carrier)
     edge_gauges: dict  # edge face -> degree-0 log
     triple_units: dict  # triangle face -> degree-(-1) log
 
-    def copy(self) -> "MultDescentDatum":
-        return MultDescentDatum(
-            self.nerve, self.flavor, self.algebra,
-            dict(self.locals), dict(self.edge_gauges), dict(self.triple_units),
-        )
-
 
 @dataclass
-class AddDescentDatum:
-    nerve: CoverNerve
-    flavor: str
-    algebra: ParamAlgebra
+class AddDescentDatum(DescentDatum):
     delta0: dict  # chart face -> degree-1 element
     delta1: dict  # edge face -> degree-0 element
     delta2: dict  # triangle face -> degree-(-1) element
-
-    def copy(self) -> "AddDescentDatum":
-        return AddDescentDatum(
-            self.nerve, self.flavor, self.algebra,
-            dict(self.delta0), dict(self.delta1), dict(self.delta2),
-        )
 
 
 @dataclass
@@ -156,23 +163,12 @@ def identity_transformation(nerve: CoverNerve, flavor: str, algebra: ParamAlgebr
 # ---------------------------------------------------------------------------
 
 
-def _zero(nerve, flavor, algebra, face, degree) -> DGLAElement:
-    return DGLAElement.zero(face_carrier(nerve, flavor, face), algebra, degree)
-
-
-def _get(data: Mapping, nerve, flavor, algebra, face, degree) -> DGLAElement:
-    v = data.get(face)
-    if v is None:
-        return _zero(nerve, flavor, algebra, face, degree)
-    return v
-
-
 def _datum_components(datum):
-    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
+    charts = datum.nerve.level_faces(0)
     if isinstance(datum, MultDescentDatum):
-        loc = {k: datum.locals[k].element for k in nerve.level_faces(0)}
+        loc = {k: datum.locals[k].element for k in charts}
         return loc, datum.edge_gauges, datum.triple_units
-    loc = {k: _get(datum.delta0, nerve, flavor, alg, k, 1) for k in nerve.level_faces(0)}
+    loc = {k: datum.at(datum.delta0, k, 1) for k in charts}
     return loc, datum.delta1, datum.delta2
 
 
@@ -194,34 +190,29 @@ def _condition_defects(datum, conditions=("i", "ii", "iii", "iv")) -> dict:
       (iii) BCH(-g_02, g_12, g_01) - d_{b_0}(a_012)                  triangles
       (iv)  BCH_{b_0}(-a_013, a_023, a_012) - exp(ad(-g_01))(a_123)  tetrahedra
     """
-    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
+    nerve, at = datum.nerve, datum.at
     loc, edges, triples = _datum_components(datum)
-
-    def at(data, f, g, degree):
-        """The component of ``data`` at f (zero when absent), moved to g."""
-        return move(nerve, flavor, f, g, _get(data, nerve, flavor, alg, f, degree))
-
     out = {}
     if "i" in conditions:
         for k in nerve.level_faces(0):
             out[("i", k)] = mc_residue(loc[k])
     if "ii" in conditions:
         for e in nerve.level_faces(1):
-            b0, b1 = at(loc, (e[0],), e, 1), at(loc, (e[1],), e, 1)
-            out[("ii", e)] = gauge_act(at(edges, e, e, 0), b0) - b1
+            b0, b1 = at(loc, (e[0],), 1, e), at(loc, (e[1],), 1, e)
+            out[("ii", e)] = gauge_act(at(edges, e, 0), b0) - b1
     if "iii" in conditions:
         for t in nerve.level_faces(2):
-            g01, g02, g12 = (at(edges, (t[i], t[j]), t, 0) for i, j in ((0, 1), (0, 2), (1, 2)))
-            b0 = at(loc, (t[0],), t, 1)
-            out[("iii", t)] = bch_many([-g02, g12, g01]) - twisted_d(b0, at(triples, t, t, -1))
+            g01, g02, g12 = (at(edges, (t[i], t[j]), 0, t) for i, j in ((0, 1), (0, 2), (1, 2)))
+            b0 = at(loc, (t[0],), 1, t)
+            out[("iii", t)] = bch_many([-g02, g12, g01]) - twisted_d(b0, at(triples, t, -1))
     if "iv" in conditions:
         for w in nerve.level_faces(3):
             a013, a023, a012, a123 = (
-                at(triples, (w[i], w[j], w[k]), w, -1)
+                at(triples, (w[i], w[j], w[k]), -1, w)
                 for i, j, k in ((0, 1, 3), (0, 2, 3), (0, 1, 2), (1, 2, 3))
             )
-            b0 = at(loc, (w[0],), w, 1)
-            g01 = at(edges, (w[0], w[1]), w, 0)
+            b0 = at(loc, (w[0],), 1, w)
+            g01 = at(edges, (w[0], w[1]), 0, w)
             out[("iv", w)] = bch_many([-a013, a023, a012], beta=b0) - ad_exp(-g01, a123)
     return out
 
@@ -247,7 +238,7 @@ def check_mdd(datum: MultDescentDatum, cert_degree: Optional[int] = None) -> Che
     (iii): the twisted 2-cocycle condition on logarithms, the additive
           condition (iv).
     """
-    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
+    nerve, alg = datum.nerve, datum.algebra
     defects = _condition_defects(datum, ("ii", "iv"))
     violations: list = []
     for e in nerve.level_faces(1):
@@ -255,14 +246,12 @@ def check_mdd(datum: MultDescentDatum, cert_degree: Optional[int] = None) -> Che
     for t in nerve.level_faces(2):
         k0 = (t[0],)
         g01, g02, g12 = (
-            move(nerve, flavor, e, t, _get(datum.edge_gauges, nerve, flavor, alg, e, 0))
-            for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
+            datum.at(datum.edge_gauges, e, 0, t) for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
         )
-        b0 = move(nerve, flavor, k0, t, datum.locals[k0].element)
-        a = _get(datum.triple_units, nerve, flavor, alg, t, -1)
-        ig_log = twisted_d(b0, a)
+        b0 = datum.move(k0, t, datum.locals[k0].element)
+        ig_log = twisted_d(b0, datum.at(datum.triple_units, t, -1))
         # operator comparison on the monomial basis of the triple overlap
-        car = face_carrier(nerve, flavor, t)
+        car = datum.carrier(t)
         degree = car.cert_degree([g01, g02, g12, ig_log, datum.locals[k0].element], cert_degree)
         F01 = gauge_operator(g01)
         F12 = gauge_operator(g12)
@@ -290,13 +279,12 @@ def exp_add(datum: AddDescentDatum, check: bool = True, cert_degree: Optional[in
     rep = check_add(datum)
     if not rep.ok:
         raise AlgebraError("exp_add input fails check_add: " + rep.render())
-    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
-    locals_: dict = {}
-    for k in nerve.level_faces(0):
-        b = _get(datum.delta0, nerve, flavor, alg, k, 1)
-        locals_[k] = b.carrier.structure_from_mc(require_mc(b), cert_degree).beta
+    locals_ = {
+        k: b.carrier.structure_from_mc(require_mc(b), cert_degree).beta
+        for k, b in _datum_components(datum)[0].items()
+    }
     out = MultDescentDatum(
-        nerve, flavor, alg, locals_, dict(datum.delta1), dict(datum.delta2)
+        datum.nerve, datum.flavor, datum.algebra, locals_, dict(datum.delta1), dict(datum.delta2)
     )
     if check:
         rep2 = check_mdd(out, cert_degree)
@@ -312,7 +300,7 @@ def exp_add(datum: AddDescentDatum, check: bool = True, cert_degree: Optional[in
 
 def _transformed_components(t: TwistedTransformation, datum):
     """Shared machinery of mdd_gauge / add_gauge on logarithms."""
-    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
+    nerve, at, move = datum.nerve, datum.at, datum.move
     locals_like, edges, triples = _datum_components(datum)
     new_locals = {}
     for k in nerve.level_faces(0):
@@ -321,27 +309,18 @@ def _transformed_components(t: TwistedTransformation, datum):
     new_edges = {}
     for e in nerve.level_faces(1):
         k0, k1 = (e[0],), (e[1],)
-        eta0 = move(nerve, flavor, k0, e, t.eta[k0])
-        eta1 = move(nerve, flavor, k1, e, t.eta[k1])
-        g = _get(edges, nerve, flavor, alg, e, 0)
-        b0 = move(nerve, flavor, k0, e, locals_like[k0])
-        igb = twisted_d(b0, t.eps[e])
-        new_edges[e] = bch_many([eta1, g, igb, -eta0])
+        eta0, eta1 = move(k0, e, t.eta[k0]), move(k1, e, t.eta[k1])
+        igb = twisted_d(at(locals_like, k0, 1, e), t.eps[e])
+        new_edges[e] = bch_many([eta1, at(edges, e, 0), igb, -eta0])
     new_triples = {}
     for tr in nerve.level_faces(2):
         k0 = (tr[0],)
         e01, e02, e12 = (tr[0], tr[1]), (tr[0], tr[2]), (tr[1], tr[2])
-        b0 = move(nerve, flavor, k0, tr, locals_like[k0])
-        g01 = move(nerve, flavor, e01, tr, _get(edges, nerve, flavor, alg, e01, 0))
-        eps01 = move(nerve, flavor, e01, tr, t.eps[e01])
-        eps02 = move(nerve, flavor, e02, tr, t.eps[e02])
-        eps12 = move(nerve, flavor, e12, tr, t.eps[e12])
-        a = _get(triples, nerve, flavor, alg, tr, -1)
-        inner = bch_many(
-            [eps01, ad_exp(-g01, eps12), a, -eps02], beta=b0
-        )
-        eta0 = move(nerve, flavor, k0, tr, t.eta[k0])
-        new_triples[tr] = ad_exp(eta0, inner)
+        b0 = at(locals_like, k0, 1, tr)
+        g01 = at(edges, e01, 0, tr)
+        eps01, eps02, eps12 = (move(e, tr, t.eps[e]) for e in (e01, e02, e12))
+        inner = bch_many([eps01, ad_exp(-g01, eps12), at(triples, tr, -1), -eps02], beta=b0)
+        new_triples[tr] = ad_exp(move(k0, tr, t.eta[k0]), inner)
     return new_locals, new_edges, new_triples
 
 
@@ -360,12 +339,12 @@ def invert_transformation(
 ) -> TwistedTransformation:
     """Inverse in the transformation groupoid: eta -> -eta and
     eps -> exp(ad eta0)-image of -eps (twisted at the transformed base)."""
+    move = DescentDatum(nerve, flavor, alg).move
     eta_inv = {k: -v for k, v in t.eta.items()}
     eps_inv = {}
     for e in nerve.level_faces(1):
         k0 = (e[0],)
-        eta0 = move(nerve, flavor, k0, e, t.eta[k0])
-        eps_inv[e] = ad_exp(eta0, -t.eps[e])
+        eps_inv[e] = ad_exp(move(k0, e, t.eta[k0]), -t.eps[e])
     return TwistedTransformation(eta_inv, eps_inv)
 
 
@@ -373,16 +352,15 @@ def compose_transformations(
     t2: TwistedTransformation, t1: TwistedTransformation, datum: "MultDescentDatum | AddDescentDatum"
 ) -> TwistedTransformation:
     """Composite `apply t1 then t2` on logarithms."""
-    nerve, flavor = datum.nerve, datum.flavor
     locals_like = _datum_components(datum)[0]
     eta = {}
-    for k in nerve.level_faces(0):
+    for k in datum.nerve.level_faces(0):
         eta[k] = bch(t2.eta[k], t1.eta[k])
     eps = {}
-    for e in nerve.level_faces(1):
+    for e in datum.nerve.level_faces(1):
         k0 = (e[0],)
-        b0 = move(nerve, flavor, k0, e, locals_like[k0])
-        eta0 = move(nerve, flavor, k0, e, t1.eta[k0])
+        b0 = datum.at(locals_like, k0, 1, e)
+        eta0 = datum.move(k0, e, t1.eta[k0])
         eps[e] = bch(t1.eps[e], ad_exp(-eta0, t2.eps[e]), beta=b0)
     return TwistedTransformation(eta, eps)
 
@@ -466,26 +444,19 @@ class ObstructionReport:
         )
 
 
-def _window_degree(defects: Iterable[DGLAElement], default: int = 2) -> int:
-    """Maximal total coefficient degree over defect terms."""
-    deg = default
+def _window(datum, defects: Iterable[DGLAElement], default: int) -> LayerWindow:
+    """The LayerWindow over the datum's nerve whose coefficient degree and
+    slot bound are the maximal total coefficient degree and total slot
+    weight over defect terms, and at least ``default`` (d splits slots, so
+    the unknown operators may need the full total order of a defect term)."""
+    deg = slots = default
     for d in defects:
         for payload in d.parts.values():
-            for c in payload.values():
+            for key, c in payload.items():
                 deg = max(deg, c.numer.total_degree())
-    return deg
-
-
-def _slot_bound(defects: Iterable[DGLAElement], default: int = 2) -> int:
-    """Maximal total slot weight over defect terms (d splits slots, so the
-    unknown operators may need the full total order of a defect term)."""
-    s = default
-    for d in defects:
-        for payload in d.parts.values():
-            for key in payload:
                 if key and isinstance(key[0], tuple):
-                    s = max(s, sum(sum(a) for a in key))
-    return s
+                    slots = max(slots, sum(sum(a) for a in key))
+    return LayerWindow(datum.nerve, datum.flavor, deg, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +471,7 @@ def _apply(t, datum):
 
 
 def _full_defects(current, target, match_locals):
-    nerve, flavor, alg = current.nerve, current.flavor, current.algebra
+    nerve, at = current.nerve, current.at
     cur_loc, cur_edges, cur_tri = _datum_components(current)
     tgt_loc, tgt_edges, tgt_tri = (
         _datum_components(target) if target is not None else (None, {}, {})
@@ -510,23 +481,22 @@ def _full_defects(current, target, match_locals):
         if match_locals:
             d0[k] = cur_loc[k] - tgt_loc[k]
         else:
-            d0[k] = DGLAElement.zero(face_carrier(nerve, flavor, k), alg, 1)
+            d0[k] = DGLAElement.zero(current.carrier(k), current.algebra, 1)
     for e in nerve.level_faces(1):
-        d1[e] = _get(cur_edges, nerve, flavor, alg, e, 0) - _get(
-            tgt_edges, nerve, flavor, alg, e, 0
-        )
+        d1[e] = at(cur_edges, e, 0) - at(tgt_edges, e, 0)
     for tr in nerve.level_faces(2):
-        d2[tr] = _get(cur_tri, nerve, flavor, alg, tr, -1) - _get(
-            tgt_tri, nerve, flavor, alg, tr, -1
-        )
+        d2[tr] = at(cur_tri, tr, -1) - at(tgt_tri, tr, -1)
     return d0, d1, d2
 
 
-def _step_effects(nerve, flavor, alg, cur_loc, cur_edges, cur_tri, unknown_kind, face, u, match_locals):
-    """Exact derivative of the transformed components in the direction of a
-    single unknown element u (an eta at a chart or an eps at an edge)."""
+def _step_effects(datum, components, unknown_kind, face, u, match_locals):
+    """Exact derivative of the transformed components (loc, edges, tri) of
+    ``datum`` in the direction of a single unknown element u (an eta at a
+    chart or an eps at an edge)."""
     from .dgla import bch_dleft, bch_dright
 
+    nerve, at, move = datum.nerve, datum.at, datum.move
+    cur_loc, cur_edges, cur_tri = components
     effects = []
     if unknown_kind == "eta":
         k = face
@@ -535,8 +505,8 @@ def _step_effects(nerve, flavor, alg, cur_loc, cur_edges, cur_tri, unknown_kind,
         for e in nerve.level_faces(1):
             if k[0] not in e:
                 continue
-            gamma = _get(cur_edges, nerve, flavor, alg, e, 0)
-            ue = move(nerve, flavor, k, e, u)
+            gamma = at(cur_edges, e, 0)
+            ue = move(k, e, u)
             if e[0] == k[0]:
                 effects.append(("edge", e, -bch_dright(ue, gamma)))
             else:
@@ -544,32 +514,67 @@ def _step_effects(nerve, flavor, alg, cur_loc, cur_edges, cur_tri, unknown_kind,
         for tr in nerve.level_faces(2):
             if tr[0] != k[0]:
                 continue
-            alpha = _get(cur_tri, nerve, flavor, alg, tr, -1)
-            ut = move(nerve, flavor, k, tr, u)
-            effects.append(("tri", tr, ut.bracket(alpha)))
+            effects.append(("tri", tr, move(k, tr, u).bracket(at(cur_tri, tr, -1))))
     else:
         e = face
-        k0 = (e[0],)
-        beta0 = move(nerve, flavor, k0, e, cur_loc[k0])
-        gamma = _get(cur_edges, nerve, flavor, alg, e, 0)
-        effects.append(("edge", e, bch_dright(twisted_d(beta0, u), gamma)))
+        beta0 = at(cur_loc, (e[0],), 1, e)
+        effects.append(("edge", e, bch_dright(twisted_d(beta0, u), at(cur_edges, e, 0))))
         for tr in nerve.level_faces(2):
             if not set(e) <= set(tr):
                 continue
-            b0 = move(nerve, flavor, (tr[0],), tr, cur_loc[(tr[0],)])
-            alpha = _get(cur_tri, nerve, flavor, alg, tr, -1)
-            ut = move(nerve, flavor, e, tr, u)
+            b0 = at(cur_loc, (tr[0],), 1, tr)
+            alpha = at(cur_tri, tr, -1)
+            ut = move(e, tr, u)
             if e == (tr[0], tr[1]):
                 effects.append(("tri", tr, bch_dleft(ut, alpha, beta=b0)))
             elif e == (tr[1], tr[2]):
-                g01 = move(
-                    nerve, flavor, (tr[0], tr[1]), tr,
-                    _get(cur_edges, nerve, flavor, alg, (tr[0], tr[1]), 0),
-                )
+                g01 = at(cur_edges, (tr[0], tr[1]), 0, tr)
                 effects.append(("tri", tr, bch_dleft(ad_exp(-g01, ut), alpha, beta=b0)))
             else:  # e == (tr[0], tr[2])
                 effects.append(("tri", tr, -bch_dright(ut, alpha, beta=b0)))
     return [(tag, f, elt) for tag, f, elt in effects if not elt.is_zero()]
+
+
+class _Unknowns:
+    """The unknowns of a layer solve: each (name, level, degree) names one
+    unknown per face of that level, spanned by the window's atoms of that
+    degree in each layer of ``layer_idx``.  A column is (name, face, layer
+    index, atom index), declared name by name, face by face, layer by layer."""
+
+    def __init__(self, datum, window: LayerWindow, layer_idx: list, names):
+        self.algebra = datum.algebra
+        self.spaces = {  # (name, face) -> (carrier, degree, atoms)
+            (name, face): (datum.carrier(face), degree, window.atoms(face, degree))
+            for name, level, degree in names
+            for face in datum.nerve.level_faces(level)
+        }
+        self.columns = [
+            (name, face, li, ai)
+            for (name, face), (_, _, atoms) in self.spaces.items()
+            for li in layer_idx
+            for ai in range(len(atoms))
+        ]
+
+    def element(self, col, value=None) -> DGLAElement:
+        """The atom of a column as an element, scaled by ``value`` when given."""
+        name, face, li, ai = col
+        car, degree, atoms = self.spaces[(name, face)]
+        payload = atoms[ai]
+        if value is not None:
+            payload = {k: c.scale(value) for k, c in payload.items()}
+        return DGLAElement(car, self.algebra, degree, {li: payload})
+
+    def add_solution(self, particular: Mapping, into):
+        """Add a particular solution to the per-face dicts ``into.<name>``;
+        the terms of each unknown are summed in the solution's order."""
+        solved: dict = {}
+        for col, value in particular.items():
+            elt = self.element(col, value)
+            solved[col[:2]] = solved[col[:2]] + elt if col[:2] in solved else elt
+        for (name, face), v in solved.items():
+            comps = getattr(into, name)
+            comps[face] = comps[face] + v if face in comps else v
+        return into
 
 
 # Newton passes in a row that do not raise the lowest defect order; the
@@ -612,55 +617,38 @@ def equiv_solve(datum, target, match_locals: bool = True):
         else:
             stall += 1
             if stall > _STALL_LIMIT:
-                return _obstruction_report(nerve, flavor, alg, d0, d2, p0)
-        lowest = [v.graded_part(p0) for v in defects]
-        window = LayerWindow(nerve, flavor, _window_degree(lowest, 1), _slot_bound(lowest, 1))
-        cur_loc, cur_edges, cur_tri = _datum_components(current)
-        system = ExactSystem()
+                return _obstruction_report(current, d0, d2, p0)
+        window = _window(current, [v.graded_part(p0) for v in defects], 1)
+        unknowns = _Unknowns(current, window, layer_idx, (("eta", 0, 0), ("eps", 1, -1)))
+        system = ExactSystem(unknowns.columns)
         for tag, defect in (("loc", d0), ("edge", d1), ("tri", d2)):
             for face, v in defect.items():
                 for row, q in window.rows(tag, face, v.parts):
                     system.add_rhs(row, -q)
-        atoms = {}  # column (kind, face, layer index, atom index) -> atom
-        for ukind, level, deg in (("eta", 0, 0), ("eps", 1, -1)):
-            for face in nerve.level_faces(level):
-                car = face_carrier(nerve, flavor, face)
-                face_atoms = window.atoms(face, deg)
-                for li in layer_idx:
-                    for ai, atom in enumerate(face_atoms):
-                        col = (ukind, face, li, ai)
-                        system.add_column(col)
-                        atoms[col] = atom
-                        u = DGLAElement(car, alg, deg, {li: atom})
-                        for tag, f, elt in _step_effects(
-                            nerve, flavor, alg, cur_loc, cur_edges, cur_tri,
-                            ukind, face, u, match_locals,
-                        ):
-                            for row, q in window.rows(tag, f, elt.parts):
-                                system.add(row, col, q)
+        components = _datum_components(current)
+        for col in unknowns.columns:
+            name, face = col[:2]
+            u = unknowns.element(col)
+            for tag, f, elt in _step_effects(current, components, name, face, u, match_locals):
+                for row, q in window.rows(tag, f, elt.parts):
+                    system.add(row, col, q)
         # the largest consistent prefix of adic orders; the quadratic tail of
         # the step pollutes higher orders, which the next pass cleans up
         solution, failed = system.solve_prefix(lambda row: alg.basis_order(row[2]))
         if failed is not None and failed <= p0:
-            return _obstruction_report(nerve, flavor, alg, d0, d2, p0)
-        step = identity_transformation(nerve, flavor, alg)
-        for (ukind, face, li, ai), val in solution.particular.items():
-            car = face_carrier(nerve, flavor, face)
-            payload = {k2: c.scale(val) for k2, c in atoms[(ukind, face, li, ai)].items()}
-            if ukind == "eta":
-                step.eta[face] = step.eta[face] + DGLAElement(car, alg, 0, {li: payload})
-            else:
-                step.eps[face] = step.eps[face] + DGLAElement(car, alg, -1, {li: payload})
+            return _obstruction_report(current, d0, d2, p0)
+        step = unknowns.add_solution(solution.particular, identity_transformation(nerve, flavor, alg))
         t = compose_transformations(step, t, datum)
 
 
-def _obstruction_report(nerve, flavor, alg, d0, d2, p) -> ObstructionReport:
+def _obstruction_report(datum, d0, d2, p) -> ObstructionReport:
     """The triangle defect at the failing order, with its Cech class decided
     by the coboundary solver on the constant/truncated layer, and the local
     defects at that order.  With no triangle defect at that order the
     failure lies in the locals or the edges, which the triangle class cannot
     decide: the class is then undecided and the detail names the charts
     whose local residue is nonzero."""
+    nerve, alg = datum.nerve, datum.algebra
     cocycle = {}
     renders = {}
     degree_bound = -1
@@ -727,9 +715,7 @@ def obstruction(datum: MultDescentDatum, against: Optional[MultDescentDatum] = N
     """Order-by-order trivialization.  Returns a TwistedTransformation when
     the datum trivializes (edge gauges and triple units both killed; against
     a given global datum, full equality), else the first ObstructionReport."""
-    if against is None:
-        return equiv_solve(datum, None, match_locals=False)
-    return equiv_solve(datum, against, match_locals=True)
+    return equiv_solve(datum, against)
 
 
 # ---------------------------------------------------------------------------
@@ -788,34 +774,24 @@ def _split_faces(element: DGLAElement, nerve, flavor, alg, degree) -> dict:
 
 
 def _int_correct(datum: AddDescentDatum, p: int, defects: Mapping) -> AddDescentDatum:
-    """Solve the order-p linear correction (c0, c1, c2) of conditions
-    (i)-(iv), given their ``defects`` as check_add computed them;
-    inconsistency surfaces as an error naming the order."""
-    nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
-    window = LayerWindow(
-        nerve, flavor, _window_degree(defects.values()), _slot_bound(defects.values())
-    )
+    """Solve the order-p linear correction (c0, c1, c2) of (delta0, delta1,
+    delta2) for conditions (i)-(iv), given their ``defects`` as check_add
+    computed them; inconsistency surfaces as an error naming the order."""
+    nerve, alg = datum.nerve, datum.algebra
+    window = _window(datum, defects.values(), 2)
     layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) == p]
-    # unknown (name, face) -> (degree, atoms); its columns are (name, face, li, ai)
-    unknowns = {}
-    for name, level, degree in (("c0", 0, 1), ("c1", 1, 0), ("c2", 2, -1)):
-        for face in nerve.level_faces(level):
-            unknowns[(name, face)] = (degree, window.atoms(face, degree))
-    system = ExactSystem(
-        (name, face, li, ai)
-        for (name, face), (_, atoms) in unknowns.items()
-        for li in layer_idx
-        for ai in range(len(atoms))
-    )
+    names = (("delta0", 0, 1), ("delta1", 1, 0), ("delta2", 2, -1))
+    unknowns = _Unknowns(datum, window, layer_idx, names)
+    system = ExactSystem(unknowns.columns)
 
     def equation(tag, face, terms):
         """Rows of  sum(sign * unknown|face) + defect = 0  at order p: an
         unknown on ``face`` itself enters through d, any other by restriction."""
         for row, v in window.rows(tag, face, defects[(tag, face)].graded_part(p).parts):
             system.add_rhs(row, -v)
-        car = face_carrier(nerve, flavor, face)
-        for (name, src), sign in terms:
-            degree, atoms = unknowns[(name, src)]
+        car = datum.carrier(face)
+        for name, src, sign in terms:
+            _, degree, atoms = unknowns.spaces[(name, src)]
             for ai, atom in enumerate(atoms):
                 if src == face:
                     img = car.d(atom, degree)
@@ -828,21 +804,21 @@ def _int_correct(datum: AddDescentDatum, p: int, defects: Mapping) -> AddDescent
 
     # (i): d(c0_k) + Di = 0
     for k in nerve.level_faces(0):
-        equation("i", k, [(("c0", k), 1)])
+        equation("i", k, [("delta0", k, 1)])
     # (ii): c0|k0 - c0|k1 - d(c1_e) + Dii = 0
     for e in nerve.level_faces(1):
-        equation("ii", e, [(("c0", (e[0],)), 1), (("c0", (e[1],)), -1), (("c1", e), -1)])
+        equation("ii", e, [("delta0", (e[0],), 1), ("delta0", (e[1],), -1), ("delta1", e, -1)])
     # (iii): -c1|02 + c1|12 + c1|01 - d(c2_t) + Diii = 0
     for tr in nerve.level_faces(2):
         e01, e02, e12 = (tr[0], tr[1]), (tr[0], tr[2]), (tr[1], tr[2])
-        equation("iii", tr, [(("c1", e01), 1), (("c1", e12), 1), (("c1", e02), -1), (("c2", tr), -1)])
+        equation("iii", tr, [("delta1", e01, 1), ("delta1", e12, 1), ("delta1", e02, -1), ("delta2", tr, -1)])
     # (iv): -c2|013 + c2|023 + c2|012 - c2|123 + Div = 0
     for w in nerve.level_faces(3):
         equation("iv", w, [
-            (("c2", (w[0], w[1], w[3])), -1),
-            (("c2", (w[0], w[2], w[3])), 1),
-            (("c2", (w[0], w[1], w[2])), 1),
-            (("c2", (w[1], w[2], w[3])), -1),
+            ("delta2", (w[0], w[1], w[3]), -1),
+            ("delta2", (w[0], w[2], w[3]), 1),
+            ("delta2", (w[0], w[1], w[2]), 1),
+            ("delta2", (w[1], w[2], w[3]), -1),
         ])
     solution = system.solve().particular
     if solution is None:
@@ -850,15 +826,4 @@ def _int_correct(datum: AddDescentDatum, p: int, defects: Mapping) -> AddDescent
             f"int_mc linear correction system inconsistent at adic order {p} "
             "(implementation bug or MC violation)"
         )
-    solved: dict = {}
-    for (name, face, li, ai), val in solution.items():
-        degree, atoms = unknowns[(name, face)]
-        payload = {k: c.scale(val) for k, c in atoms[ai].items()}
-        elt = DGLAElement(face_carrier(nerve, flavor, face), alg, degree, {li: payload})
-        solved[(name, face)] = solved[(name, face)] + elt if (name, face) in solved else elt
-    out = datum.copy()
-    fields = {"c0": out.delta0, "c1": out.delta1, "c2": out.delta2}
-    for (name, face), v in solved.items():
-        degree = unknowns[(name, face)][0]
-        fields[name][face] = _get(fields[name], nerve, flavor, alg, face, degree) + v
-    return out
+    return unknowns.add_solution(solution, datum.copy())

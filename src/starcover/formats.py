@@ -391,6 +391,12 @@ def _require(cond: bool, msg: str):
         raise FormatError(msg)
 
 
+def json_int(x, low: Optional[int] = None, high: Optional[int] = None) -> bool:
+    """x is a JSON integer, within [low, high] where given; JSON true and
+    false, which Python reads as 1 and 0, are not integers here."""
+    return type(x) is int and (low is None or x >= low) and (high is None or x <= high)
+
+
 def _strings(obj, kind: type) -> bool:
     """obj is a list of strings (kind list) or an object whose values are
     strings (kind dict)."""
@@ -414,10 +420,10 @@ def load_params(obj: Mapping) -> ParamAlgebra:
     gens = obj.get("gens")
     order = obj.get("order")
     _require(_strings(gens, list) and gens, "params.gens must be a nonempty list of strings")
-    _require(isinstance(order, int) and order >= 1, "params.order must be >= 1")
+    _require(json_int(order, 1), "params.order must be >= 1")
     extra = obj.get("extra_relations", [])
     _require(isinstance(extra, list) and all(
-        isinstance(e, list) and all(isinstance(k, int) for k in e) for e in extra
+        isinstance(e, list) and all(json_int(k) for k in e) for e in extra
     ), "params.extra_relations must be a list of exponent lists")
     return param_algebra_truncate(gens, order, [tuple(e) for e in extra])
 
@@ -450,9 +456,10 @@ def _face_of(label: str, indices: Sequence[str]) -> tuple:
 
 
 def load_nerve(obj: Mapping) -> CoverNerve:
-    _require(obj.get("schema") == 1, "nerve: schema must be 1")
+    _require(isinstance(obj, dict), "nerve must be an object")
+    _require(json_int(obj.get("schema"), 1, 1), "nerve: schema must be 1")
     indices = obj.get("indices")
-    _require(isinstance(indices, list) and indices, "nerve.indices must be a list")
+    _require(_strings(indices, list) and indices, "nerve.indices must be a nonempty list of strings")
     faces_obj = obj.get("faces")
     _require(isinstance(faces_obj, dict) and faces_obj, "nerve.faces must be an object")
     algebras = {}
@@ -516,7 +523,7 @@ def _load_flavor(obj: Mapping) -> type:
 
 
 def load_descent(obj: Mapping):
-    _require(obj.get("schema") == 1, "descent datum: schema must be 1")
+    _require(json_int(obj.get("schema"), 1, 1), "descent datum: schema must be 1")
     kind = obj.get("kind")
     _require(kind in ("mdd", "add"), "kind must be 'mdd' or 'add'")
     cls = _load_flavor(obj)
@@ -557,7 +564,7 @@ def load_descent(obj: Mapping):
 def load_ts_element(obj: Mapping):
     """Thom-Sullivan input: a sum of Whitney images of Cech cochains, plus an
     optional TS gauge (also Whitney-built) acting on it, plus raw components."""
-    _require(obj.get("schema") == 1, "ts element: schema must be 1")
+    _require(json_int(obj.get("schema"), 1, 1), "ts element: schema must be 1")
     kind = _load_flavor(obj).kind
     algebra = load_params(obj.get("params"))
     nerve = load_nerve(obj.get("nerve"))
@@ -585,7 +592,7 @@ def _spec_list(obj: Mapping, key: str) -> list:
 def _whitney_from_spec(handle, spec, total_degree):
     nerve, algebra = handle.nerve, handle.algebra
     q = spec.get("q")
-    _require(isinstance(q, int) and q >= 0, "whitney spec needs q >= 0")
+    _require(json_int(q, 0), "whitney spec needs q >= 0")
     internal = total_degree - q
     car = CechCarrier(nerve, handle.kind, q, 0)
     parts: dict = {}
@@ -609,10 +616,10 @@ def _raw_ts_component(handle, spec):
     dts = spec.get("dts", [])
     label = spec.get("face")
     text = spec.get("value")
-    _require(isinstance(level, int) and 0 <= level <= nerve.max_level(),
+    _require(json_int(level, 0, nerve.max_level()),
              "ts component needs a level between 0 and the nerve's top level")
     _require(isinstance(label, str), "ts component needs a face label string")
-    _require(isinstance(dts, list) and all(isinstance(t, int) for t in dts),
+    _require(isinstance(dts, list) and all(json_int(t) for t in dts),
              "ts component dts must be a list of integers")
     _require(isinstance(text, str), "ts component needs a value string")
     dts = frozenset(dts)

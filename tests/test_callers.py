@@ -164,3 +164,41 @@ def flavor_name_decisions() -> list:
 def test_no_module_decides_the_flavour_by_name():
     found = flavor_name_decisions()
     assert not found, f"flavour or kind name compared or tabled outside the carrier classes: {found}"
+
+
+# The functions of descent.py that take a nerve and a flavour: the public
+# constructors over a bare nerve, ``LayerWindow`` and the ``_split_faces``
+# the tests call.  Everything else takes a datum and reads its components
+# through it (``DescentDatum.carrier``, ``.move``, ``.at``).
+NERVE_AND_FLAVOR = {
+    "face_carrier", "identity_transformation", "invert_transformation",
+    "trivial_datum_from_global", "_split_faces", "LayerWindow.__init__",
+}
+
+
+def nerve_and_flavor_takers() -> set:
+    """Qualified names of the functions and methods in descent.py, nested
+    ones included, with both a ``nerve`` and a ``flavor`` parameter."""
+    found = set()
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                if {"nerve", "flavor"} <= {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}:
+                    found.add(prefix + node.name)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(node.body, f"{prefix}{node.name}.")
+
+    visit(ast.parse((PACKAGE / "descent.py").read_text(encoding="utf-8")).body, "")
+    return found
+
+
+def test_descent_threads_the_datum_not_its_nerve_and_flavor():
+    found = nerve_and_flavor_takers()
+    assert not found - NERVE_AND_FLAVOR, (
+        f"take a nerve and a flavour where a datum would do: {sorted(found - NERVE_AND_FLAVOR)}"
+    )
+    assert not NERVE_AND_FLAVOR - found, (
+        f"allowlisted names that no longer take both: {sorted(NERVE_AND_FLAVOR - found)}"
+    )

@@ -547,3 +547,26 @@ def test_check_mdd_poisson_compares_operators_beyond_constants():
     rep = check_mdd(datum)
     assert [(v.condition, v.face) for v in rep.violations] == [("ii", (0, 1, 2))]
     assert check_mdd(datum, 0).ok
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1])
+@pytest.mark.parametrize("flavor", ["poisson", "associative"])
+def test_datum_at_reads_the_component_or_zero_moved_to_the_larger_face(flavor, degree):
+    # shear_nerve(3) restricts U1 to U0,U1 by y -> y - x^2, which moves
+    # every payload below
+    nerve = shear_nerve(3)
+    R = param_algebra_truncate(["hbar"], 2)
+    datum = AddDescentDatum(nerve, flavor, R, {}, {}, {})
+    f, g = (1,), (0, 1)
+    car, gcar = face_carrier(nerve, flavor, f), face_carrier(nerve, flavor, g)
+    y = car.chart.var("y")
+    keys = [()] if degree == -1 else list(car.window_keys(degree, 1))
+    payload = {key: y for key in keys}
+    elt = DGLAElement(car, R, degree, {1: payload})
+    moved = transport_payload(nerve, car.kind, f, g, payload)
+    assert moved != payload
+    assert datum.at({f: elt}, f, degree) is elt
+    assert datum.at({f: elt}, f, degree, g) == DGLAElement(gcar, R, degree, {1: moved})
+    assert datum.at({}, f, degree) == DGLAElement.zero(car, R, degree)
+    zero = datum.at({}, f, degree, g)
+    assert (zero.carrier, zero.degree, zero.parts) == (gcar, degree, {})

@@ -339,9 +339,17 @@ def test_cli_int_mc_malformed_component(tmp_path, capsys, component):
          "ts component dts must be a list of integers"),
         (lambda obj: obj.update(components=[{"level": 0, "dts": [], "face": "U0"}]),
          "ts component needs a value string"),
+        # JSON true is no integer, though Python reads it as 1
+        (lambda obj: obj.update(schema=True), "ts element: schema must be 1"),
+        (lambda obj: obj["gauge"][1].update(q=True), "whitney spec needs q >= 0"),
+        (lambda obj: obj.update(components=[{"level": True, "dts": [], "face": "U0,U1", "value": "hbar^2 * x"}]),
+         "ts component needs a level between 0 and the nerve's top level"),
+        (lambda obj: obj.update(components=[{"level": 1, "dts": [True], "face": "U0,U1", "value": "hbar^2 * x"}]),
+         "ts component dts must be a list of integers"),
     ],
     ids=["whitney-entry-not-object", "whitney-value-not-string", "gauge-object",
-         "face-not-string", "dts-not-list", "no-value"],
+         "face-not-string", "dts-not-list", "no-value", "schema-true", "q-true", "level-true",
+         "dt-true"],
 )
 def test_cli_int_mc_mistyped_ts_input(tmp_path, capsys, edit, message):
     obj = json.loads((DATA / "ts-pipeline.json").read_text(encoding="utf-8"))
@@ -411,10 +419,14 @@ def test_cli_octahedron_datum_of_either_kind_loads(tmp_path, kind):
          "cannot divide: element x + 1 is not invertible against the declared denominators"),
         ("quantize", lambda obj: obj.update(bivector="hbar*dx*(dy^dz)"),
          "a parenthesized sum multiplies only scalar factors"),
+        ("quantize", lambda obj: obj["params"].update(order=True), "params.order must be >= 1"),
+        ("star-table", lambda obj: obj.update(kind="star", schema=True), "schema must be 1"),
+        ("quantize", lambda obj: obj.update(schema=1.0), "schema must be 1"),
     ],
     ids=["bivector-int", "bivector-missing", "beta-int", "bivector-degree-0", "beta-degree-minus-1",
          "star-schema-2", "slot-trailing-comma", "slot-empty-entries", "slot-no-commas",
-         "mixed-degree-sum", "undeclared-denominator", "direction-times-sum"],
+         "mixed-degree-sum", "undeclared-denominator", "direction-times-sum", "order-true",
+         "star-schema-true", "schema-float"],
 )
 def test_cli_mistyped_poisson_input(tmp_path, capsys, command, edit, message):
     obj = json.loads((DATA / "so3.json").read_text(encoding="utf-8"))
@@ -423,6 +435,12 @@ def test_cli_mistyped_poisson_input(tmp_path, capsys, command, edit, message):
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_cli_quantize_order_below_one_is_an_input_error(capsys, order):
+    assert main(["quantize", str(DATA / "so3.json"), "--order", order]) == 2
+    assert capsys.readouterr().err == "input error: --order must be >= 1\n"
 
 
 # Random token strings over the expression alphabet: parsing returns an
@@ -475,10 +493,19 @@ def _edit_restriction(key, **spec):
          "restriction 'U0 -> U0,U2' must be an object"),
         (lambda obj: obj["nerve"]["restrictions"].update({"U0 -> U0,U1": {"images": {}}}),
          "restriction 'U0 -> U0,U1' names a face absent from nerve.faces"),
+        (lambda obj: obj.pop("nerve"), "nerve must be an object"),
+        (lambda obj: obj.update(nerve=5), "nerve must be an object"),
+        # JSON true is no integer, though Python reads it as 1
+        (lambda obj: obj["params"].update(order=True), "params.order must be >= 1"),
+        (lambda obj: obj["params"].update(extra_relations=[[True]]),
+         "params.extra_relations must be a list of exponent lists"),
+        (lambda obj: obj.update(schema=True), "descent datum: schema must be 1"),
+        (lambda obj: obj["nerve"].update(schema=1.0), "nerve: schema must be 1"),
     ],
     ids=["gens-int", "extra-relations-int", "extra-relation-int", "extra-relation-str",
          "variables-int", "denominators-int", "denominator-int", "restrictions-list",
-         "restriction-int", "restriction-absent-face"],
+         "restriction-int", "restriction-absent-face", "nerve-missing", "nerve-int",
+         "order-true", "extra-relation-true", "schema-true", "nerve-schema-float"],
 )
 def test_cli_mistyped_params_or_nerve(tmp_path, capsys, edit, message):
     obj = _octahedron_datum("mdd")
@@ -500,8 +527,13 @@ def test_cli_mistyped_params_or_nerve(tmp_path, capsys, edit, message):
          "restriction 'U0 -> U0,U1': missing derivation of x"),
         (_edit_restriction("U0 -> U0,U1", derivations=["dx"]),
          "restriction 'U0 -> U0,U1': derivations must map variables to expression strings"),
+        (lambda nerve: nerve.update(indices=[{}, "U1"]), "nerve.indices must be a nonempty list of strings"),
+        (lambda nerve: nerve.update(indices=["U0", [1]]), "nerve.indices must be a nonempty list of strings"),
+        (lambda nerve: nerve.update(schema=True), "nerve: schema must be 1"),
+        (lambda nerve: nerve.update(schema=1.0), "nerve: schema must be 1"),
     ],
-    ids=["image-int", "derivation-int", "derivation-missing", "derivations-list"],
+    ids=["image-int", "derivation-int", "derivation-missing", "derivations-list",
+         "index-object", "index-list", "schema-true", "schema-float"],
 )
 def test_cli_mistyped_restriction_in_nerve(tmp_path, capsys, edit, message):
     obj = json.loads((DATA / "line-cover.json").read_text(encoding="utf-8"))
