@@ -13,6 +13,7 @@ from .params import ParamAlgebra, ParamSeries, param_algebra_truncate
 from .dgla import (
     DGLAElement,
     GaugeElement,
+    InducedStructure,
     LInftyMorphism,
     MCCheckError,
     MCElement,
@@ -21,6 +22,7 @@ from .dgla import (
     bch,
     bch_many,
     gauge_act,
+    gauge_structure,
     linfty_apply,
     mc_check,
     mc_residue,
@@ -33,7 +35,6 @@ from .polyvec import (
     PolyvecCarrier,
     inner_gauge_poisson,
     poisson_from_mc,
-    poisson_gauge,
     schouten,
 )
 from .polydiff import (

@@ -582,7 +582,7 @@ class _Unknowns:
 _STALL_LIMIT = 6
 
 
-def equiv_solve(datum, target, match_locals: bool = True):
+def equiv_solve(datum, target):
     """Find a twisted gauge transformation carrying ``datum`` to ``target``
     (literal equality of components), or return the first-order
     ObstructionReport.  Newton iteration on the pronilpotent group: each pass
@@ -591,15 +591,14 @@ def equiv_solve(datum, target, match_locals: bool = True):
     window is sized by the lowest defect layer; higher layers are reached by
     later passes.
 
-    With match_locals=False the locals of the target are ignored and only the
-    edge/triple components are matched (the trivialization problem)."""
+    With no target (None) the locals are left free and only the edges and
+    triples are matched, to zero (the trivialization problem)."""
     nerve, flavor, alg = datum.nerve, datum.flavor, datum.algebra
     if target is not None and (
         target.nerve != nerve or target.flavor != flavor or target.algebra != alg
     ):
         raise AlgebraError("data over different nerves/flavors/parameter algebras")
-    if target is None:
-        match_locals = False
+    match_locals = target is not None
     t = identity_transformation(nerve, flavor, alg)
     layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) >= 1]
     stall = 0

@@ -71,8 +71,9 @@ class SparseCarrier(Carrier):
     what differs between the flavours: the text of one key
     (``_render_key``), the action of a degree-0 logarithm on a function
     (``act_once``), the keys of a layer unknown (``window_keys``), the
-    structure of an MC element (``structure_from_mc``) and the monomial
-    degree of an operator comparison (``cert_degree``)."""
+    structure of an MC element (``structure_from_mc``), the monomial degree
+    of an operator comparison (``cert_degree``) and which payloads are
+    normalized (``is_normalized``; every polyvector is)."""
 
     def __init__(self, chart: ChartAlgebra, deriv_indices: Optional[Sequence[int]] = None):
         self.chart = chart
@@ -95,6 +96,9 @@ class SparseCarrier(Carrier):
         if c.is_zero():
             return {}
         return {(): c}
+
+    def is_normalized(self, x) -> bool:
+        return True
 
     def _render_key(self, key) -> str:
         raise NotImplementedError
@@ -351,7 +355,31 @@ class IntertwinerCertificate:
     holds: bool
     degree: int
     failures: list
-    fixes_unit: bool = True
+    fixes_unit: bool
+
+
+@dataclass(frozen=True)
+class InducedStructure:
+    """The structure an MC element beta induces on the functions of its
+    chart.  Each flavour supplies ``op``, the operation the gauge
+    certificate compares (the Poisson bracket, or the star product), and
+    ``bracket`` (the Poisson bracket, or half the star commutator)."""
+
+    beta: MCElement
+
+    @property
+    def carrier(self) -> SparseCarrier:
+        return self.beta.element.carrier
+
+    @property
+    def algebra(self) -> ParamAlgebra:
+        return self.beta.element.algebra
+
+    def op(self, u: DGLAElement, v: DGLAElement) -> DGLAElement:
+        raise NotImplementedError
+
+    def bracket(self, u: DGLAElement, v: DGLAElement) -> DGLAElement:
+        raise NotImplementedError
 
 
 class MCCheckError(AlgebraError):
@@ -448,6 +476,31 @@ def gauge_operator(log: DGLAElement) -> Callable[[DGLAElement], DGLAElement]:
     cochains (the chart carrier's ``act_once``)."""
     act = log.carrier.act_once
     return lambda u: exp_series(lambda t: act(log, t), u)
+
+
+def gauge_structure(
+    gamma: DGLAElement | GaugeElement, structure: InducedStructure, cert_degree: Optional[int] = None
+) -> tuple[InducedStructure, IntertwinerCertificate]:
+    """Gauge an induced structure and certify exp(ad(gamma))(a op b) =
+    exp(ad(gamma))(a) op' exp(ad(gamma))(b) on every ordered pair of
+    monomials up to the carrier's certificate degree, plus unitality."""
+    log = gamma.log if isinstance(gamma, GaugeElement) else gamma
+    car, alg = structure.carrier, structure.algebra
+    if not all(car.is_normalized(payload) for payload in log.parts.values()):
+        raise AlgebraError("gauge logarithms must be normalized")
+    out = type(structure)(require_mc(gauge_act(log, structure.beta.element)))
+    op = gauge_operator(log)
+    degree = car.cert_degree([structure.beta.element + out.beta.element + log.d()], cert_degree)
+    monos = car.chart.monomials_up_to(degree)
+    funcs = [(m, function_element(car, alg, m), m.numer.total_degree()) for m in monos]
+    failures = [
+        (am.render(), bm.render())
+        for am, a, da in funcs
+        for bm, b, db in funcs
+        if da + db <= degree and op(structure.op(a, b)) != out.op(op(a), op(b))
+    ]
+    one = function_element(car, alg, car.chart.one())
+    return out, IntertwinerCertificate(not failures, degree, failures, op(one) == one)
 
 
 # ---------------------------------------------------------------------------

@@ -420,11 +420,14 @@ def load_params(obj: Mapping) -> ParamAlgebra:
     gens = obj.get("gens")
     order = obj.get("order")
     _require(_strings(gens, list) and gens, "params.gens must be a nonempty list of strings")
+    _require(len(set(gens)) == len(gens), "params.gens must be distinct")
     _require(json_int(order, 1), "params.order must be >= 1")
     extra = obj.get("extra_relations", [])
     _require(isinstance(extra, list) and all(
         isinstance(e, list) and all(json_int(k) for k in e) for e in extra
     ), "params.extra_relations must be a list of exponent lists")
+    _require(all(len(e) == len(gens) and min(e) >= 0 and sum(e) > 0 for e in extra),
+             "params.extra_relations entries need one exponent >= 0 per generator, not all 0")
     return param_algebra_truncate(gens, order, [tuple(e) for e in extra])
 
 
@@ -445,13 +448,18 @@ def load_chart(obj: Mapping) -> ChartAlgebra:
     return ChartAlgebra(variables, tuple(dens))
 
 
-def _face_of(label: str, indices: Sequence[str]) -> tuple:
+def _face_of(label: str, indices: Sequence[str], seen: Optional[dict] = None) -> tuple:
+    """The face a label names.  ``seen`` maps the faces of one section to
+    their labels; a second label of a face in it is an input error."""
     pos = {name: i for i, name in enumerate(indices)}
     parts = [p.strip() for p in label.split(",")]
     for p in parts:
         _require(p in pos, f"unknown chart name {p!r}")
     out = tuple(pos[p] for p in parts)
     _require(list(out) == sorted(set(out)), f"face {label!r} is not strictly increasing")
+    if seen is not None:
+        _require(out not in seen, f"labels {seen.get(out)!r} and {label!r} name the same face")
+        seen[out] = label
     return out
 
 
@@ -460,44 +468,46 @@ def load_nerve(obj: Mapping) -> CoverNerve:
     _require(json_int(obj.get("schema"), 1, 1), "nerve: schema must be 1")
     indices = obj.get("indices")
     _require(_strings(indices, list) and indices, "nerve.indices must be a nonempty list of strings")
+    _require(len(set(indices)) == len(indices), "nerve.indices must be distinct")
     faces_obj = obj.get("faces")
     _require(isinstance(faces_obj, dict) and faces_obj, "nerve.faces must be an object")
-    algebras = {}
+    algebras, seen = {}, {}
     for label, chart_obj in faces_obj.items():
-        algebras[_face_of(label, indices)] = load_chart(chart_obj)
+        algebras[_face_of(label, indices, seen)] = load_chart(chart_obj)
     restrictions = {}
     specs = obj.get("restrictions") or {}
     _require(isinstance(specs, dict), "nerve.restrictions must be an object")
-    for key, spec in specs.items():
-        m = re.fullmatch(r"(.*?)\s*->\s*(.*)", key)
-        _require(m is not None, f"restriction key {key!r} must be 'FACE -> COFACE'")
-        f = _face_of(m.group(1), indices)
-        g = _face_of(m.group(2), indices)
-        _require(f in algebras and g in algebras,
-                 f"restriction {key!r} names a face absent from nerve.faces")
-        _require(isinstance(spec, dict), f"restriction {key!r} must be an object")
-        src, tgt = algebras[f], algebras[g]
-        images = []
-        img_map = spec.get("images", {})
-        _require(_strings(img_map, dict),
-                 f"restriction {key!r}: images must map variables to expression strings")
-        for v in src.variables:
-            _require(v in img_map, f"restriction {key!r}: missing image of {v}")
-            images.append(parse_localized(tgt, img_map[v]))
-        derivs = None
-        if "derivations" in spec:
-            derivs = []
-            ctx = ExprContext(param_algebra_truncate(["_eps"], 1), tgt, "polyvec")
-            deriv_map = spec["derivations"]
-            _require(_strings(deriv_map, dict),
-                     f"restriction {key!r}: derivations must map variables to expression strings")
-            for v in src.variables:
-                _require(v in deriv_map, f"restriction {key!r}: missing derivation of {v}")
-                elt = parse_element(ctx, deriv_map[v])
-                _require(elt.degree == 0, "derivation images must be vector fields")
-                derivs.append(elt.parts.get(0, {}))
-        restrictions[(f, g)] = RestrictionMap.build(src, tgt, images, derivs)
     try:
+        for key, spec in specs.items():
+            m = re.fullmatch(r"(.*?)\s*->\s*(.*)", key)
+            _require(m is not None, f"restriction key {key!r} must be 'FACE -> COFACE'")
+            f = _face_of(m.group(1), indices)
+            g = _face_of(m.group(2), indices)
+            _require(f in algebras and g in algebras,
+                     f"restriction {key!r} names a face absent from nerve.faces")
+            _require((f, g) not in restrictions, f"restriction {key!r} names the faces of another key")
+            _require(isinstance(spec, dict), f"restriction {key!r} must be an object")
+            src, tgt = algebras[f], algebras[g]
+            images = []
+            img_map = spec.get("images", {})
+            _require(_strings(img_map, dict),
+                     f"restriction {key!r}: images must map variables to expression strings")
+            for v in src.variables:
+                _require(v in img_map, f"restriction {key!r}: missing image of {v}")
+                images.append(parse_localized(tgt, img_map[v]))
+            derivs = None
+            if "derivations" in spec:
+                derivs = []
+                ctx = ExprContext(param_algebra_truncate(["_eps"], 1), tgt, "polyvec")
+                deriv_map = spec["derivations"]
+                _require(_strings(deriv_map, dict),
+                         f"restriction {key!r}: derivations must map variables to expression strings")
+                for v in src.variables:
+                    _require(v in deriv_map, f"restriction {key!r}: missing derivation of {v}")
+                    elt = parse_element(ctx, deriv_map[v])
+                    _require(elt.degree == 0, "derivation images must be vector fields")
+                    derivs.append(elt.parts.get(0, {}))
+            restrictions[(f, g)] = RestrictionMap.build(src, tgt, images, derivs)
         return build_nerve(indices, algebras, restrictions)
     except AlgebraError as exc:
         raise FormatError(str(exc)) from exc
@@ -535,10 +545,10 @@ def load_descent(obj: Mapping):
     for level, key in enumerate(keys):
         section = obj.get(key) or {}
         _require(_strings(section, dict), f"{key} must map faces to expression strings")
-        out = {}
+        out, seen = {}, {}
         degree = 1 if level == 0 else (0 if level == 1 else -1)
         for label, text in sorted(section.items()):
-            face = _face_of(label, nerve.indices)
+            face = _face_of(label, nerve.indices, seen)
             _require(len(face) == level + 1, f"{key}: face {label!r} has the wrong level")
             _require(face in nerve.faces, f"{key}: face {label!r} absent from the nerve")
             elt = parse_element(ExprContext(algebra, nerve.algebra(face), cls.kind), text)
@@ -595,12 +605,13 @@ def _whitney_from_spec(handle, spec, total_degree):
     _require(json_int(q, 0), "whitney spec needs q >= 0")
     internal = total_degree - q
     car = CechCarrier(nerve, handle.kind, q, 0)
-    parts: dict = {}
+    parts, seen = {}, {}
     values = spec.get("values") or {}
     _require(_strings(values, dict), "whitney spec values must map faces to expression strings")
     for label, text in sorted(values.items()):
-        face = _face_of(label, nerve.indices)
+        face = _face_of(label, nerve.indices, seen)
         _require(len(face) == q + 1, f"whitney value face {label!r} has level != q")
+        _require(face in nerve.faces, f"whitney value face {label!r} absent from the nerve")
         elt = parse_element(ExprContext(algebra, nerve.algebra(face), handle.kind), text)
         _require(elt.degree == internal or elt.is_zero(),
                  f"whitney value at {label!r}: expected internal degree {internal}")
@@ -625,6 +636,7 @@ def _raw_ts_component(handle, spec):
     dts = frozenset(dts)
     face = _face_of(label, nerve.indices)
     _require(len(face) == level + 1, f"ts component face {label!r} has level != {level}")
+    _require(face in nerve.faces, f"ts component face {label!r} absent from the nerve")
     _require(dts <= frozenset(range(1, level + 1)), f"ts component dts must lie in 1..{level}")
     from .cechnerve import extend_chart
 

@@ -18,24 +18,18 @@ through as scalars.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .exactalg import AlgebraError, LocalizedPoly
 from .dgla import (
     DGLAElement,
-    GaugeElement,
-    IntertwinerCertificate,
+    InducedStructure,
     MCElement,
     SparseCarrier,
     exp_series,
-    function_element,
-    gauge_act,
-    gauge_operator,
     require_mc,
 )
-from .params import ParamAlgebra
 from .simplex import inversion_sign
 
 VecKey = tuple[int, ...]
@@ -183,19 +177,9 @@ def schouten(x: DGLAElement, y: DGLAElement) -> DGLAElement:
     return x.bracket(y)
 
 
-@dataclass(frozen=True)
-class PoissonStructure:
-    """MC bivector beta plus the induced bracket {c1, c2}_beta."""
-
-    beta: MCElement
-
-    @property
-    def carrier(self) -> PolyvecCarrier:
-        return self.beta.element.carrier
-
-    @property
-    def algebra(self) -> ParamAlgebra:
-        return self.beta.element.algebra
+class PoissonStructure(InducedStructure):
+    """MC bivector beta plus the induced bracket {c1, c2}_beta, which is
+    both its ``op`` and its ``bracket``."""
 
     def bracket(self, u: DGLAElement, v: DGLAElement) -> DGLAElement:
         """R-bilinear extension of the wedge pairing of beta."""
@@ -205,52 +189,12 @@ class PoissonStructure:
         parts = self.algebra.extend(pair, car.add, self.beta.element.parts, u.parts, v.parts)
         return DGLAElement(car, self.algebra, -1, parts)
 
-    def bracket_table(self) -> dict[tuple[str, str], DGLAElement]:
-        """{x_i, x_j} on the pairs of coordinate generators."""
-        car = self.carrier
-        out = {}
-        names = car.chart.variables
-        for a in car.deriv_indices:
-            for b in car.deriv_indices:
-                if a >= b:
-                    continue
-                u = function_element(car, self.algebra, car.chart.var(names[a]))
-                v = function_element(car, self.algebra, car.chart.var(names[b]))
-                out[(names[a], names[b])] = self.bracket(u, v)
-        return out
+    op = bracket
 
 
 def poisson_from_mc(beta: DGLAElement | MCElement) -> PoissonStructure:
     mc = beta if isinstance(beta, MCElement) else require_mc(beta)
     return PoissonStructure(mc)
-
-
-def poisson_gauge(
-    gamma: DGLAElement | GaugeElement,
-    structure: PoissonStructure,
-    cert_degree: int = 3,
-) -> tuple[PoissonStructure, IntertwinerCertificate]:
-    """Transform beta by the gauge action and certify that exp(ad(gamma))
-    intertwines the brackets on all monomials of total degree <= cert_degree."""
-    log = gamma.log if isinstance(gamma, GaugeElement) else gamma
-    beta2 = gauge_act(log, structure.beta.element)
-    out = poisson_from_mc(require_mc(beta2))
-    op = gauge_operator(log)
-    car = structure.carrier
-    failures = []
-    monos = car.chart.monomials_up_to(cert_degree)
-    degs = [m.numer.total_degree() for m in monos]
-    wrapped = [function_element(car, structure.algebra, m) for m in monos]
-    for a in range(len(wrapped)):
-        for b in range(a + 1, len(wrapped)):
-            if degs[a] + degs[b] > cert_degree:
-                continue
-            u, v = wrapped[a], wrapped[b]
-            lhs = op(structure.bracket(u, v))
-            rhs = out.bracket(op(u), op(v))
-            if lhs != rhs:
-                failures.append((monos[a].render(), monos[b].render()))
-    return out, IntertwinerCertificate(not failures, cert_degree, failures)
 
 
 def inner_gauge_poisson(

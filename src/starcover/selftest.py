@@ -135,8 +135,7 @@ def run(seed: int = 0) -> list[dict]:
         )
         beta = DGLAElement.single(vcar, alg, 1, 1, pi)
         assert isinstance(mc_check(beta), MCElement)
-        P = poisson_from_mc(beta)
-        table = P.bracket_table()
+        table = first_order_bracket(poisson_from_mc(beta))
         assert table[("x", "y")].render() == "hbar * 1/2*z"
 
     check("so(3) bivector is MC with {x,y} = hbar z / 2", so3_poisson)

@@ -60,7 +60,6 @@ from starcover.polydiff import (
     monomial_triples,
 )
 from starcover.polyvec import PoissonStructure
-from starcover import polyvec as pv
 from starcover.simplex import (
     SimplexForm,
     dirichlet_integral,
@@ -165,9 +164,9 @@ def _jacobi_lowest_order(P, degree):
             for k, c in enumerate(monos):
                 if degs[i] + degs[j] + degs[k] > degree:
                     continue
-                ea = pv.function_element(P.carrier, P.algebra, a)
-                eb = pv.function_element(P.carrier, P.algebra, b)
-                ec = pv.function_element(P.carrier, P.algebra, c)
+                ea = function_element(P.carrier, P.algebra, a)
+                eb = function_element(P.carrier, P.algebra, b)
+                ec = function_element(P.carrier, P.algebra, c)
                 jac = (
                     P.bracket(ea, P.bracket(eb, ec))
                     + P.bracket(eb, P.bracket(ec, ea))

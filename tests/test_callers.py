@@ -30,7 +30,7 @@ TEST_ONLY = {
     # params
     "base_change",
     # polyvec
-    "inner_gauge_poisson", "poisson_gauge",
+    "inner_gauge_poisson",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
@@ -202,3 +202,38 @@ def test_descent_threads_the_datum_not_its_nerve_and_flavor():
     assert not NERVE_AND_FLAVOR - found, (
         f"allowlisted names that no longer take both: {sorted(NERVE_AND_FLAVOR - found)}"
     )
+
+
+# The two structures a Maurer-Cartan element induces share one base,
+# ``dgla.InducedStructure``, and what differs between them hangs off the
+# class (``op``, ``bracket``).  A test of a value against one of them is a
+# second place that decides the flavour.
+STRUCTURES = {"PoissonStructure", "StarProduct"}
+
+
+def structure_class_tests() -> list:
+    """(module, top-level name) of every ``isinstance``/``issubclass`` call,
+    ``is``/``is not``/``==``/``!=`` comparison and ``case`` class pattern in
+    the package that names PoissonStructure or StarProduct."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+                    operands = node.args[1:]
+                elif isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops
+                ):
+                    operands = [node.left, *node.comparators]
+                elif isinstance(node, ast.MatchClass):
+                    operands = [node.cls]
+                else:
+                    continue
+                if any(name in STRUCTURES for operand in operands for name, _ in _references(operand, strings=False)):
+                    found.append((path.name, getattr(top, "name", None)))
+    return found
+
+
+def test_no_module_tests_a_value_against_an_induced_structure_class():
+    found = structure_class_tests()
+    assert not found, f"flavour decided by a structure class test: {found}"

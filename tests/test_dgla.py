@@ -16,10 +16,12 @@ from starcover import (
     bch,
     bch_many,
     gauge_act,
+    gauge_structure,
     hkr,
     linfty_apply,
     mc_check,
     param_algebra_truncate,
+    poisson_from_mc,
     require_mc,
     star_from_mc,
     twisted_bracket,
@@ -219,6 +221,33 @@ def test_gauge_operator_matches_each_flavours_route(seed, order, kind):
         assert hkr(got) == gauge_operator(hkr(log))(hkr(u))
     else:
         assert got == exp_series(lambda t: apply_cochain(log, [t]), u)
+
+
+# One gauge certificate serves both flavours: the bracket of dx^dy and its
+# Moyal product, each gauged by a fixed logarithm and then by a second one.
+@pytest.mark.parametrize("flavor", ["poisson", "associative"])
+def test_gauge_structure_certifies_and_composes(flavor, rng):
+    R = param_algebra_truncate(["hbar"], 2)
+    if flavor == "poisson":
+        car = PolyvecCarrier(C2)
+        P = poisson_from_mc(DGLAElement.single(car, R, 1, 1, car.term((0, 1), C2.one())))
+        gam = DGLAElement.single(car, R, 0, 1, car.vector_field({0: C2.var("x") * C2.var("x")}))
+        gam2 = rand_element(rng, car, R, 0, minorder=1)
+        degree, degree2 = 3, 2
+    else:
+        P = star_from_mc(require_mc(moyal_beta(R)))
+        car = P.carrier
+        gam = DGLAElement.single(car, R, 0, 1, car.term(((2, 0),), C2.one()))
+        gam2 = DGLAElement.single(car, R, 0, 1, car.term(((1, 1),), C2.var("y")))
+        degree = degree2 = None
+    P0, cert0 = gauge_structure(DGLAElement.zero(car, R, 0), P, degree)
+    assert cert0.holds and P0.beta.element == P.beta.element
+    P2, cert = gauge_structure(gam, P, degree)
+    assert type(P2) is type(P) and cert.holds and cert.fixes_unit
+    # successive gauges compose through bch
+    P3a, _ = gauge_structure(gam2, P2, degree2)
+    P3b, _ = gauge_structure(bch(gam2, gam), P, degree2)
+    assert P3a.beta.element == P3b.beta.element
 
 
 def test_twisted_d_examples(rng):

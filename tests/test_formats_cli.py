@@ -327,6 +327,20 @@ def test_cli_int_mc_malformed_component(tmp_path, capsys, component):
     assert capsys.readouterr().err.startswith("input error: ts component")
 
 
+def _without_u1u2(then):
+    """An edit of ts-pipeline.json: drop the faces U1,U2 and U0,U1,U2 and
+    their restrictions from the nerve, then apply ``then``."""
+
+    def edit(obj):
+        nerve = obj["nerve"]
+        for label in ("U1,U2", "U0,U1,U2"):
+            del nerve["faces"][label]
+        nerve["restrictions"] = {k: v for k, v in nerve["restrictions"].items() if "U1,U2" not in k}
+        then(obj)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -346,10 +360,22 @@ def test_cli_int_mc_malformed_component(tmp_path, capsys, component):
          "ts component needs a level between 0 and the nerve's top level"),
         (lambda obj: obj.update(components=[{"level": 1, "dts": [True], "face": "U0,U1", "value": "hbar^2 * x"}]),
          "ts component dts must be a list of integers"),
+        # a face the nerve lacks, a face named twice, a restriction map that
+        # refuses its denominators
+        (_without_u1u2(lambda obj: obj["whitney"].append({"q": 1, "values": {"U1,U2": "hbar * x"}})),
+         "whitney value face 'U1,U2' absent from the nerve"),
+        (_without_u1u2(lambda obj: obj.update(
+            components=[{"level": 1, "face": "U1,U2", "dts": [1], "value": "hbar * x"}])),
+         "ts component face 'U1,U2' absent from the nerve"),
+        (lambda obj: obj["whitney"][0]["values"].update({"U0 ": "hbar * dx^dy"}),
+         "labels 'U0' and 'U0 ' name the same face"),
+        (lambda obj: obj["nerve"]["faces"]["U0,U2"].update(denominators=["x"]),
+         "element x is not invertible"),
     ],
     ids=["whitney-entry-not-object", "whitney-value-not-string", "gauge-object",
          "face-not-string", "dts-not-list", "no-value", "schema-true", "q-true", "level-true",
-         "dt-true"],
+         "dt-true", "whitney-face-absent", "component-face-absent", "whitney-face-twice",
+         "restriction-denominator"],
 )
 def test_cli_int_mc_mistyped_ts_input(tmp_path, capsys, edit, message):
     obj = json.loads((DATA / "ts-pipeline.json").read_text(encoding="utf-8"))
@@ -422,11 +448,19 @@ def test_cli_octahedron_datum_of_either_kind_loads(tmp_path, kind):
         ("quantize", lambda obj: obj["params"].update(order=True), "params.order must be >= 1"),
         ("star-table", lambda obj: obj.update(kind="star", schema=True), "schema must be 1"),
         ("quantize", lambda obj: obj.update(schema=1.0), "schema must be 1"),
+        ("quantize", lambda obj: obj["params"].update(extra_relations=[[-1]]),
+         "params.extra_relations entries need one exponent >= 0 per generator"),
+        ("quantize", lambda obj: obj["params"].update(extra_relations=[[1, 2]]),
+         "params.extra_relations entries need one exponent >= 0 per generator"),
+        ("quantize", lambda obj: obj["params"].update(extra_relations=[[0]]),
+         "params.extra_relations entries need one exponent >= 0 per generator, not all 0"),
+        ("quantize", lambda obj: obj["params"].update(gens=["hbar", "hbar"]), "params.gens must be distinct"),
     ],
     ids=["bivector-int", "bivector-missing", "beta-int", "bivector-degree-0", "beta-degree-minus-1",
          "star-schema-2", "slot-trailing-comma", "slot-empty-entries", "slot-no-commas",
          "mixed-degree-sum", "undeclared-denominator", "direction-times-sum", "order-true",
-         "star-schema-true", "schema-float"],
+         "star-schema-true", "schema-float", "extra-relation-negative", "extra-relation-too-long",
+         "extra-relation-zero", "gens-repeated"],
 )
 def test_cli_mistyped_poisson_input(tmp_path, capsys, command, edit, message):
     obj = json.loads((DATA / "so3.json").read_text(encoding="utf-8"))
@@ -501,11 +535,14 @@ def _edit_restriction(key, **spec):
          "params.extra_relations must be a list of exponent lists"),
         (lambda obj: obj.update(schema=True), "descent datum: schema must be 1"),
         (lambda obj: obj["nerve"].update(schema=1.0), "nerve: schema must be 1"),
+        (lambda obj: obj.update(triples={"U0,U2,U4": "hbar * 1", "U0, U2, U4": "hbar * 2"}),
+         "labels 'U0, U2, U4' and 'U0,U2,U4' name the same face"),
     ],
     ids=["gens-int", "extra-relations-int", "extra-relation-int", "extra-relation-str",
          "variables-int", "denominators-int", "denominator-int", "restrictions-list",
          "restriction-int", "restriction-absent-face", "nerve-missing", "nerve-int",
-         "order-true", "extra-relation-true", "schema-true", "nerve-schema-float"],
+         "order-true", "extra-relation-true", "schema-true", "nerve-schema-float",
+         "triple-labelled-twice"],
 )
 def test_cli_mistyped_params_or_nerve(tmp_path, capsys, edit, message):
     obj = _octahedron_datum("mdd")
@@ -531,9 +568,17 @@ def test_cli_mistyped_params_or_nerve(tmp_path, capsys, edit, message):
         (lambda nerve: nerve.update(indices=["U0", [1]]), "nerve.indices must be a nonempty list of strings"),
         (lambda nerve: nerve.update(schema=True), "nerve: schema must be 1"),
         (lambda nerve: nerve.update(schema=1.0), "nerve: schema must be 1"),
+        (lambda nerve: nerve.update(indices=["U0", "U0"]), "nerve.indices must be distinct"),
+        (lambda nerve: nerve["faces"].update({"U0 ": nerve["faces"]["U0"]}),
+         "labels 'U0' and 'U0 ' name the same face"),
+        (lambda nerve: nerve["restrictions"].update({"U0->U0,U1": nerve["restrictions"]["U0 -> U0,U1"]}),
+         "restriction 'U0->U0,U1' names the faces of another key"),
+        (_edit_restriction("U1 -> U0,U1", images={"y": "x"}),
+         "derivation transport violates the chain rule"),
     ],
     ids=["image-int", "derivation-int", "derivation-missing", "derivations-list",
-         "index-object", "index-list", "schema-true", "schema-float"],
+         "index-object", "index-list", "schema-true", "schema-float", "index-repeated",
+         "face-labelled-twice", "restriction-keyed-twice", "image-breaks-chain-rule"],
 )
 def test_cli_mistyped_restriction_in_nerve(tmp_path, capsys, edit, message):
     obj = json.loads((DATA / "line-cover.json").read_text(encoding="utf-8"))

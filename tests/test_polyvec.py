@@ -12,17 +12,17 @@ from starcover import (
     MCViolation,
     Poly,
     PolyvecCarrier,
-    bch,
     gauge_act,
+    first_order_bracket,
     inner_gauge_poisson,
     mc_check,
     param_algebra_truncate,
     poisson_from_mc,
-    poisson_gauge,
     require_mc,
     schouten,
 )
-from starcover.polyvec import PoissonStructure, function_element, merge_odd
+from starcover.dgla import function_element
+from starcover.polyvec import PoissonStructure, merge_odd
 from starcover.simplex import wedge_sets
 
 from conftest import rand_element, rand_poly
@@ -171,7 +171,7 @@ def test_poisson_from_mc_values():
     assert zero.bracket(x, y).is_zero()
     car3 = PolyvecCarrier(C3)
     beta3 = DGLAElement.single(car3, R, 1, 1, so3_payload(car3))
-    table = poisson_from_mc(beta3).bracket_table()
+    table = first_order_bracket(poisson_from_mc(beta3))
     assert table[("x", "y")].render() == "hbar * 1/2*z"
     assert table[("x", "z")].render() == "hbar * (-1/2*y)"
     assert table[("y", "z")].render() == "hbar * 1/2*x"
@@ -223,25 +223,6 @@ def test_mc_iff_jacobi_both_directions(rng):
     P_bad = PoissonStructure(MCElement(bad))  # bypass validation on purpose
     defect_order = _jacobi_defect_orders(P_bad, 4)
     assert defect_order == chk.order == 2
-
-
-def test_poisson_gauge_certificates(rng):
-    R = param_algebra_truncate(["hbar"], 2)
-    car = PolyvecCarrier(C2)
-    P = poisson_from_mc(DGLAElement.single(car, R, 1, 1, car.term((0, 1), C2.one())))
-    zero = DGLAElement.zero(car, R, 0)
-    P0, cert0 = poisson_gauge(zero, P, cert_degree=3)
-    assert cert0.holds and P0.beta.element == P.beta.element
-    gam = DGLAElement.single(
-        car, R, 0, 1, car.vector_field({0: C2.var("x") * C2.var("x")})
-    )
-    P2, cert = poisson_gauge(gam, P, cert_degree=3)
-    assert cert.holds
-    # successive gauges compose through bch
-    gam2 = rand_element(rng, car, R, 0, minorder=1)
-    P3a, _ = poisson_gauge(gam2, P2, cert_degree=2)
-    P3b, _ = poisson_gauge(bch(gam2, gam), P, cert_degree=2)
-    assert P3a.beta.element == P3b.beta.element
 
 
 def test_inner_gauge_poisson():
