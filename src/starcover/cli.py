@@ -76,10 +76,16 @@ def _check_report_dict(rep) -> dict:
     }
 
 
-def cmd_check_mdd(args) -> int:
+def _load_datum(args, cls):
+    """The descent datum of ``args.input``, which must be of the kind ``cls``."""
     datum = formats.load_descent(_load_json(args.input))
-    if not isinstance(datum, MultDescentDatum):
-        raise FormatError("check-mdd expects a multiplicative descent datum")
+    if not isinstance(datum, cls):
+        raise FormatError(f"{args.command} expects {cls.phrase} descent datum")
+    return datum
+
+
+def cmd_check_mdd(args) -> int:
+    datum = _load_datum(args, MultDescentDatum)
     rep = check_mdd(datum, args.cert_degree)
     _emit(args, {"command": "check-mdd", **_check_report_dict(rep)},
           "check-mdd: " + rep.render())
@@ -87,9 +93,7 @@ def cmd_check_mdd(args) -> int:
 
 
 def cmd_check_add(args) -> int:
-    datum = formats.load_descent(_load_json(args.input))
-    if not isinstance(datum, AddDescentDatum):
-        raise FormatError("check-add expects an additive descent datum")
+    datum = _load_datum(args, AddDescentDatum)
     rep = check_add(datum)
     _emit(args, {"command": "check-add", **_check_report_dict(rep)},
           "check-add: " + rep.render())
@@ -97,9 +101,7 @@ def cmd_check_add(args) -> int:
 
 
 def cmd_exp_add(args) -> int:
-    datum = formats.load_descent(_load_json(args.input))
-    if not isinstance(datum, AddDescentDatum):
-        raise FormatError("exp-add expects an additive descent datum")
+    datum = _load_datum(args, AddDescentDatum)
     mdd = exp_add(datum, cert_degree=args.cert_degree)
     out = formats.render_descent(mdd)
     _emit(args, out, dumps(out))
@@ -148,9 +150,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
-    datum = formats.load_descent(_load_json(args.input))
-    if not isinstance(datum, MultDescentDatum):
-        raise FormatError("obstruction expects a multiplicative descent datum")
+    datum = _load_datum(args, MultDescentDatum)
     against = None
     if args.against:
         against = formats.load_descent(_load_json(args.against))

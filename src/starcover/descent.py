@@ -59,7 +59,11 @@ def face_carrier(nerve: CoverNerve, flavor: str, face: Face):
 class DescentDatum:
     """What a descent datum of either kind shares: the nerve, flavour and
     parameter algebra its per-face components live over, and the one way
-    those components are read."""
+    those components are read.  Each kind carries what differs: its JSON
+    ``kind``, its JSON ``sections`` in level order, its ``phrase`` in
+    messages, ``components()``, which reads it as (chart elements, zero
+    where absent; edge logs; triangle logs), and ``from_components``, which
+    builds it from those (the multiplicative kind requires MC locals)."""
 
     nerve: CoverNerve
     flavor: str
@@ -89,19 +93,54 @@ class DescentDatum:
         """The same datum over fresh component dicts."""
         return replace(self, **{k: dict(v) for k, v in vars(self).items() if isinstance(v, dict)})
 
+    def chart_elements(self, loc: Mapping) -> dict:
+        """{chart: the degree-1 element of ``loc`` there, zero when absent}."""
+        return {k: self.at(loc, k, 1) for k in self.nerve.level_faces(0)}
+
 
 @dataclass
 class MultDescentDatum(DescentDatum):
+    kind = "mdd"
+    sections = ("locals", "edges", "triples")
+    phrase = "a multiplicative"
+
     locals: dict  # chart face -> MCElement (per-face carrier)
     edge_gauges: dict  # edge face -> degree-0 log
     triple_units: dict  # triangle face -> degree-(-1) log
 
+    def components(self) -> tuple:
+        loc = self.chart_elements({k: v.element for k, v in self.locals.items()})
+        return loc, self.edge_gauges, self.triple_units
+
+    @classmethod
+    def from_components(cls, nerve, flavor, algebra, loc, edges, triples):
+        loc = DescentDatum(nerve, flavor, algebra).chart_elements(loc)
+        return cls(nerve, flavor, algebra, {k: require_mc(v) for k, v in loc.items()}, edges, triples)
+
 
 @dataclass
 class AddDescentDatum(DescentDatum):
+    kind = "add"
+    sections = ("delta0", "delta1", "delta2")
+    phrase = "an additive"
+
     delta0: dict  # chart face -> degree-1 element
     delta1: dict  # edge face -> degree-0 element
     delta2: dict  # triangle face -> degree-(-1) element
+
+    def components(self) -> tuple:
+        return self.chart_elements(self.delta0), self.delta1, self.delta2
+
+    @classmethod
+    def from_components(cls, *components):
+        return cls(*components)
+
+
+def datum_of_kind(kind: str) -> type:
+    for cls in (MultDescentDatum, AddDescentDatum):
+        if cls.kind == kind:
+            return cls
+    raise AlgebraError(f"unknown descent datum kind {kind!r}")
 
 
 @dataclass
@@ -163,15 +202,6 @@ def identity_transformation(nerve: CoverNerve, flavor: str, algebra: ParamAlgebr
 # ---------------------------------------------------------------------------
 
 
-def _datum_components(datum):
-    charts = datum.nerve.level_faces(0)
-    if isinstance(datum, MultDescentDatum):
-        loc = {k: datum.locals[k].element for k in charts}
-        return loc, datum.edge_gauges, datum.triple_units
-    loc = {k: datum.at(datum.delta0, k, 1) for k in charts}
-    return loc, datum.delta1, datum.delta2
-
-
 def _record(violations, condition, face, defect: DGLAElement):
     if not defect.is_zero():
         order = int(defect.adic_order())
@@ -191,7 +221,7 @@ def _condition_defects(datum, conditions=("i", "ii", "iii", "iv")) -> dict:
       (iv)  BCH_{b_0}(-a_013, a_023, a_012) - exp(ad(-g_01))(a_123)  tetrahedra
     """
     nerve, at = datum.nerve, datum.at
-    loc, edges, triples = _datum_components(datum)
+    loc, edges, triples = datum.components()
     out = {}
     if "i" in conditions:
         for k in nerve.level_faces(0):
@@ -281,7 +311,7 @@ def exp_add(datum: AddDescentDatum, check: bool = True, cert_degree: Optional[in
         raise AlgebraError("exp_add input fails check_add: " + rep.render())
     locals_ = {
         k: b.carrier.structure_from_mc(require_mc(b), cert_degree).beta
-        for k, b in _datum_components(datum)[0].items()
+        for k, b in datum.components()[0].items()
     }
     out = MultDescentDatum(
         datum.nerve, datum.flavor, datum.algebra, locals_, dict(datum.delta1), dict(datum.delta2)
@@ -298,14 +328,11 @@ def exp_add(datum: AddDescentDatum, check: bool = True, cert_degree: Optional[in
 # ---------------------------------------------------------------------------
 
 
-def _transformed_components(t: TwistedTransformation, datum):
-    """Shared machinery of mdd_gauge / add_gauge on logarithms."""
+def _gauged(t: TwistedTransformation, datum):
+    """The image of a datum of either kind under t, computed on logarithms."""
     nerve, at, move = datum.nerve, datum.at, datum.move
-    locals_like, edges, triples = _datum_components(datum)
-    new_locals = {}
-    for k in nerve.level_faces(0):
-        eta = t.eta[k]
-        new_locals[k] = gauge_act(eta, locals_like[k])
+    locals_like, edges, triples = datum.components()
+    new_locals = {k: gauge_act(t.eta[k], locals_like[k]) for k in nerve.level_faces(0)}
     new_edges = {}
     for e in nerve.level_faces(1):
         k0, k1 = (e[0],), (e[1],)
@@ -321,17 +348,15 @@ def _transformed_components(t: TwistedTransformation, datum):
         eps01, eps02, eps12 = (move(e, tr, t.eps[e]) for e in (e01, e02, e12))
         inner = bch_many([eps01, ad_exp(-g01, eps12), at(triples, tr, -1), -eps02], beta=b0)
         new_triples[tr] = ad_exp(move(k0, tr, t.eta[k0]), inner)
-    return new_locals, new_edges, new_triples
+    return datum.from_components(datum.nerve, datum.flavor, datum.algebra, new_locals, new_edges, new_triples)
 
 
 def mdd_gauge(t: TwistedTransformation, datum: MultDescentDatum) -> MultDescentDatum:
-    nl, ne, nt = _transformed_components(t, datum)
-    new_locals = {k: require_mc(v) for k, v in nl.items()}
-    return MultDescentDatum(datum.nerve, datum.flavor, datum.algebra, new_locals, ne, nt)
+    return _gauged(t, datum)
 
 
 def add_gauge(t: TwistedTransformation, datum: AddDescentDatum) -> AddDescentDatum:
-    return AddDescentDatum(datum.nerve, datum.flavor, datum.algebra, *_transformed_components(t, datum))
+    return _gauged(t, datum)
 
 
 def invert_transformation(
@@ -352,7 +377,7 @@ def compose_transformations(
     t2: TwistedTransformation, t1: TwistedTransformation, datum: "MultDescentDatum | AddDescentDatum"
 ) -> TwistedTransformation:
     """Composite `apply t1 then t2` on logarithms."""
-    locals_like = _datum_components(datum)[0]
+    locals_like = datum.components()[0]
     eta = {}
     for k in datum.nerve.level_faces(0):
         eta[k] = bch(t2.eta[k], t1.eta[k])
@@ -464,28 +489,18 @@ def _window(datum, defects: Iterable[DGLAElement], default: int) -> LayerWindow:
 # ---------------------------------------------------------------------------
 
 
-def _apply(t, datum):
-    if isinstance(datum, MultDescentDatum):
-        return mdd_gauge(t, datum)
-    return add_gauge(t, datum)
-
-
-def _full_defects(current, target, match_locals):
+def _full_defects(current, target):
+    """Defects against ``target``; with none, free locals and zero edges and triangles."""
     nerve, at = current.nerve, current.at
-    cur_loc, cur_edges, cur_tri = _datum_components(current)
-    tgt_loc, tgt_edges, tgt_tri = (
-        _datum_components(target) if target is not None else (None, {}, {})
-    )
-    d0, d1, d2 = {}, {}, {}
-    for k in nerve.level_faces(0):
-        if match_locals:
-            d0[k] = cur_loc[k] - tgt_loc[k]
-        else:
-            d0[k] = DGLAElement.zero(current.carrier(k), current.algebra, 1)
-    for e in nerve.level_faces(1):
-        d1[e] = at(cur_edges, e, 0) - at(tgt_edges, e, 0)
-    for tr in nerve.level_faces(2):
-        d2[tr] = at(cur_tri, tr, -1) - at(tgt_tri, tr, -1)
+    cur_loc, cur_edges, cur_tri = current.components()
+    if target is None:
+        d0 = {k: DGLAElement.zero(current.carrier(k), current.algebra, 1) for k in nerve.level_faces(0)}
+        tgt_edges = tgt_tri = {}
+    else:
+        tgt_loc, tgt_edges, tgt_tri = target.components()
+        d0 = {k: cur_loc[k] - tgt_loc[k] for k in nerve.level_faces(0)}
+    d1 = {e: at(cur_edges, e, 0) - at(tgt_edges, e, 0) for e in nerve.level_faces(1)}
+    d2 = {tr: at(cur_tri, tr, -1) - at(tgt_tri, tr, -1) for tr in nerve.level_faces(2)}
     return d0, d1, d2
 
 
@@ -604,8 +619,8 @@ def equiv_solve(datum, target):
     stall = 0
     best_order = 0
     while True:
-        current = _apply(t, datum)
-        d0, d1, d2 = _full_defects(current, target, match_locals)
+        current = _gauged(t, datum)
+        d0, d1, d2 = _full_defects(current, target)
         defects = [v for d in (d0, d1, d2) for v in d.values() if not v.is_zero()]
         if not defects:
             return t
@@ -624,7 +639,7 @@ def equiv_solve(datum, target):
             for face, v in defect.items():
                 for row, q in window.rows(tag, face, v.parts):
                     system.add_rhs(row, -q)
-        components = _datum_components(current)
+        components = current.components()
         for col in unknowns.columns:
             name, face = col[:2]
             u = unknowns.element(col)
@@ -695,19 +710,6 @@ def _obstruction_report(datum, d0, d2, p) -> ObstructionReport:
     return ObstructionReport(
         p, renders, class_is_zero, "first unsolvable central layer", local_residues
     )
-
-
-def trivial_datum_from_global(
-    nerve: CoverNerve, flavor: str, algebra: ParamAlgebra, chart_mc: Mapping
-) -> MultDescentDatum:
-    """The datum induced by a global object: local deformations restricted
-    from compatible chart MC elements, with trivial gauges and units."""
-    locals_ = {}
-    for k in nerve.level_faces(0):
-        locals_[k] = require_mc(chart_mc[k])
-    edges = {}
-    triples = {}
-    return MultDescentDatum(nerve, flavor, algebra, locals_, edges, triples)
 
 
 def obstruction(datum: MultDescentDatum, against: Optional[MultDescentDatum] = None):

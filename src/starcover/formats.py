@@ -15,12 +15,12 @@ from typing import Mapping, Optional, Sequence
 
 from .exactalg import AlgebraError, ChartAlgebra, LocalizedPoly
 from .params import ParamAlgebra, ParamSeries, param_algebra_truncate
-from .dgla import DGLAElement, require_mc
+from .dgla import DGLAElement
 from .polyvec import PolyvecCarrier, merge_odd
 from .polydiff import PolydiffCarrier
 from .cechnerve import CechCarrier, CoverNerve, RestrictionMap, build_nerve
 from .cechnerve import carrier_of_flavor, carrier_of_kind
-from .descent import AddDescentDatum, MultDescentDatum, face_carrier
+from .descent import datum_of_kind
 from .thomsullivan import ts_normalize, whitney
 
 
@@ -534,41 +534,30 @@ def _load_flavor(obj: Mapping) -> type:
 
 def load_descent(obj: Mapping):
     _require(json_int(obj.get("schema"), 1, 1), "descent datum: schema must be 1")
-    kind = obj.get("kind")
-    _require(kind in ("mdd", "add"), "kind must be 'mdd' or 'add'")
-    cls = _load_flavor(obj)
-    flavor = cls.flavor
+    try:
+        cls = datum_of_kind(obj.get("kind"))
+    except AlgebraError:
+        raise FormatError("kind must be 'mdd' or 'add'") from None
+    carrier_cls = _load_flavor(obj)
     algebra = load_params(obj.get("params"))
     nerve = load_nerve(obj.get("nerve"))
-    keys = ("locals", "edges", "triples") if kind == "mdd" else ("delta0", "delta1", "delta2")
     data = []
-    for level, key in enumerate(keys):
+    for level, key in enumerate(cls.sections):
         section = obj.get(key) or {}
         _require(_strings(section, dict), f"{key} must map faces to expression strings")
         out, seen = {}, {}
-        degree = 1 if level == 0 else (0 if level == 1 else -1)
+        degree = 1 - level
         for label, text in sorted(section.items()):
             face = _face_of(label, nerve.indices, seen)
             _require(len(face) == level + 1, f"{key}: face {label!r} has the wrong level")
             _require(face in nerve.faces, f"{key}: face {label!r} absent from the nerve")
-            elt = parse_element(ExprContext(algebra, nerve.algebra(face), cls.kind), text)
+            elt = parse_element(ExprContext(algebra, nerve.algebra(face), carrier_cls.kind), text)
             _require(elt.degree == degree or elt.is_zero(),
                      f"{key}[{label}]: expected degree {degree}")
-            if elt.is_zero():
-                continue
-            out[face] = elt if elt.degree == degree else DGLAElement(
-                elt.carrier, algebra, degree, {}
-            )
+            if not elt.is_zero():
+                out[face] = elt
         data.append(out)
-    if kind == "add":
-        return AddDescentDatum(nerve, flavor, algebra, data[0], data[1], data[2])
-    locals_ = {}
-    for k in nerve.level_faces(0):
-        raw = data[0].get(k)
-        if raw is None:
-            raw = DGLAElement.zero(face_carrier(nerve, flavor, k), algebra, 1)
-        locals_[k] = require_mc(raw)
-    return MultDescentDatum(nerve, flavor, algebra, locals_, data[1], data[2])
+    return cls.from_components(nerve, carrier_cls.flavor, algebra, *data)
 
 
 def load_ts_element(obj: Mapping):
@@ -602,7 +591,7 @@ def _spec_list(obj: Mapping, key: str) -> list:
 def _whitney_from_spec(handle, spec, total_degree):
     nerve, algebra = handle.nerve, handle.algebra
     q = spec.get("q")
-    _require(json_int(q, 0), "whitney spec needs q >= 0")
+    _require(json_int(q, 0, total_degree + 1), f"whitney spec needs q >= 0 and q <= {total_degree + 1}")
     internal = total_degree - q
     car = CechCarrier(nerve, handle.kind, q, 0)
     parts, seen = {}, {}
@@ -701,32 +690,12 @@ def render_nerve(nerve: CoverNerve) -> dict:
 
 def render_descent(datum) -> dict:
     nerve = datum.nerve
-    if isinstance(datum, MultDescentDatum):
-        kind = "mdd"
-        sections = {
-            "locals": {k: v.element for k, v in datum.locals.items()},
-            "edges": datum.edge_gauges,
-            "triples": datum.triple_units,
-        }
-    else:
-        kind = "add"
-        sections = {
-            "delta0": datum.delta0,
-            "delta1": datum.delta1,
-            "delta2": datum.delta2,
-        }
     body = {}
-    for key, mapping in sections.items():
-        rendered = {}
-        for face in sorted(mapping):
-            elt = mapping[face]
-            if elt is None or (hasattr(elt, "is_zero") and elt.is_zero()):
-                continue
-            rendered[nerve.label(face)] = elt.render()
-        body[key] = rendered
+    for key, comps in zip(datum.sections, datum.components()):
+        body[key] = {nerve.label(f): comps[f].render() for f in sorted(comps) if not comps[f].is_zero()}
     return {
         "schema": 1,
-        "kind": kind,
+        "kind": datum.kind,
         "flavor": datum.flavor,
         "params": render_params(datum.algebra),
         "nerve": render_nerve(nerve),

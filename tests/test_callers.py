@@ -15,6 +15,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "starcover"
 
@@ -24,7 +26,7 @@ TEST_ONLY = {
     # cechnerve
     "pull_sections", "identity_refinement",
     # descent
-    "minimal_conditions", "invert_transformation", "trivial_datum_from_global",
+    "minimal_conditions", "invert_transformation",
     # dgla
     "symmetry_defect", "linfty_apply",
     # params
@@ -127,18 +129,21 @@ def test_only_the_parameter_algebra_and_the_oracle_read_mul_index():
     )
 
 
-# The flavour and kind names.  Each chart-carrier class carries its own
-# (``PolyvecCarrier.flavor``, ``.kind``), ``cechnerve.carrier_of_flavor`` and
-# ``carrier_of_kind`` are the one table from a name to its class, and what
-# differs between the flavours hangs off the class.  A comparison with one
-# of these names, or a dict or set literal that holds one, is a second table.
+# The flavour and carrier-kind names, and the descent-datum kind names.
+# Each chart-carrier class carries its own (``PolyvecCarrier.flavor``,
+# ``.kind``), and so does each descent-datum class (``MultDescentDatum.kind``);
+# ``cechnerve.carrier_of_flavor``/``carrier_of_kind`` and
+# ``descent.datum_of_kind`` are the one tables from a name to its class, and
+# what differs hangs off the class.  A comparison with one of these names, or
+# a dict or set literal that holds one, is a second table.
 FLAVOR_NAMES = {"associative", "poisson", "polyvec", "polydiff"}
+DATUM_KIND_NAMES = {"mdd", "add"}
 
 
-def flavor_name_decisions() -> list:
+def flavor_name_decisions(names) -> list:
     """(module, line) of every ``==``/``!=``/``in``/``not in`` comparison
-    and every dict or set literal in the package with a flavour or kind name
-    as a string constant."""
+    and every dict or set literal in the package with one of ``names`` as a
+    string constant."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -153,7 +158,7 @@ def flavor_name_decisions() -> list:
             else:
                 continue
             if any(
-                isinstance(c, ast.Constant) and c.value in FLAVOR_NAMES
+                isinstance(c, ast.Constant) and c.value in names
                 for operand in operands
                 for c in ast.walk(operand)
             ):
@@ -161,18 +166,19 @@ def flavor_name_decisions() -> list:
     return found
 
 
-def test_no_module_decides_the_flavour_by_name():
-    found = flavor_name_decisions()
-    assert not found, f"flavour or kind name compared or tabled outside the carrier classes: {found}"
+@pytest.mark.parametrize("names", [FLAVOR_NAMES, DATUM_KIND_NAMES], ids=["flavors", "datum-kinds"])
+def test_no_module_decides_the_flavour_by_name(names):
+    found = flavor_name_decisions(names)
+    assert not found, f"flavour or kind name compared or tabled outside its classes: {found}"
 
 
 # The functions of descent.py that take a nerve and a flavour: the public
-# constructors over a bare nerve, ``LayerWindow`` and the ``_split_faces``
-# the tests call.  Everything else takes a datum and reads its components
+# constructors over a bare nerve (a multiplicative datum from its components
+# among them), ``LayerWindow`` and the ``_split_faces`` the tests call.  Everything else takes a datum and reads its components
 # through it (``DescentDatum.carrier``, ``.move``, ``.at``).
 NERVE_AND_FLAVOR = {
     "face_carrier", "identity_transformation", "invert_transformation",
-    "trivial_datum_from_global", "_split_faces", "LayerWindow.__init__",
+    "MultDescentDatum.from_components", "_split_faces", "LayerWindow.__init__",
 }
 
 
@@ -206,15 +212,18 @@ def test_descent_threads_the_datum_not_its_nerve_and_flavor():
 
 # The two structures a Maurer-Cartan element induces share one base,
 # ``dgla.InducedStructure``, and what differs between them hangs off the
-# class (``op``, ``bracket``).  A test of a value against one of them is a
-# second place that decides the flavour.
+# class (``op``, ``bracket``); so do the two kinds of descent datum, over
+# ``descent.DescentDatum`` (``kind``, ``sections``, ``components``,
+# ``from_components``).  A test of a value against one of these classes is
+# a second place that decides the flavour or the kind.
 STRUCTURES = {"PoissonStructure", "StarProduct"}
+DATUM_KINDS = {"MultDescentDatum", "AddDescentDatum"}
 
 
-def structure_class_tests() -> list:
+def structure_class_tests(classes) -> list:
     """(module, top-level name) of every ``isinstance``/``issubclass`` call,
     ``is``/``is not``/``==``/``!=`` comparison and ``case`` class pattern in
-    the package that names PoissonStructure or StarProduct."""
+    the package that names one of ``classes``."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -229,11 +238,12 @@ def structure_class_tests() -> list:
                     operands = [node.cls]
                 else:
                     continue
-                if any(name in STRUCTURES for operand in operands for name, _ in _references(operand, strings=False)):
+                if any(name in classes for operand in operands for name, _ in _references(operand, strings=False)):
                     found.append((path.name, getattr(top, "name", None)))
     return found
 
 
-def test_no_module_tests_a_value_against_an_induced_structure_class():
-    found = structure_class_tests()
-    assert not found, f"flavour decided by a structure class test: {found}"
+@pytest.mark.parametrize("classes", [STRUCTURES, DATUM_KINDS], ids=["structures", "datum-kinds"])
+def test_no_module_tests_a_value_against_an_induced_structure_class(classes):
+    found = structure_class_tests(classes)
+    assert not found, f"flavour or kind decided by a class test: {found}"

@@ -35,8 +35,8 @@ from starcover.descent import (
     compose_transformations,
     face_carrier,
     identity_transformation,
+    datum_of_kind,
     invert_transformation,
-    trivial_datum_from_global,
 )
 from starcover.thomsullivan import integrate_component, level_zero_element
 from starcover.descent import _split_faces
@@ -46,7 +46,8 @@ from starcover.cechnerve import (
     carrier_of_kind,
     transport_payload,
 )
-from starcover.formats import ExprContext
+from starcover.dgla import MCCheckError
+from starcover.formats import ExprContext, parse_element
 from starcover.polydiff import PolydiffCarrier
 from starcover.polyvec import PolyvecCarrier
 
@@ -133,8 +134,8 @@ def test_trivial_datum_passes():
     R = param_algebra_truncate(["hbar"], 2)
     car0 = face_carrier(nerve, "poisson", (0,))
     beta = DGLAElement.single(car0, R, 1, 1, car0.term((0, 1), car0.chart.one()))
-    datum = trivial_datum_from_global(
-        nerve, "poisson", R, {k: beta for k in nerve.level_faces(0)}
+    datum = MultDescentDatum.from_components(
+        nerve, "poisson", R, {k: beta for k in nerve.level_faces(0)}, {}, {}
     )
     assert check_mdd(datum).ok
 
@@ -570,3 +571,32 @@ def test_datum_at_reads_the_component_or_zero_moved_to_the_larger_face(flavor, d
     assert datum.at({}, f, degree) == DGLAElement.zero(car, R, degree)
     zero = datum.at({}, f, degree, g)
     assert (zero.carrier, zero.degree, zero.parts) == (gcar, degree, {})
+
+
+@pytest.mark.parametrize("kind", ["mdd", "add"])
+def test_datum_components_round_trip_and_absent_locals_read_zero(kind):
+    cls = datum_of_kind(kind)
+    nerve = shear_nerve(3)
+    _, R, zero, moyal = one_chart_zero_and_moyal(2)
+
+    def elt(face, text):
+        return parse_element(ExprContext(R, nerve.algebra(face), "polydiff"), text)
+
+    edges = {(0, 1): elt((0, 1), "hbar * x*d[0,1]"), (1, 2): elt((1, 2), "hbar^2 * d[1,0]")}
+    triples = {(0, 1, 2): elt((0, 1, 2), "hbar^2 * y")}
+    full = cls.from_components(nerve, "associative", R, {(0,): moyal, (1,): zero, (2,): moyal}, edges, triples)
+    assert full.components() == ({(0,): moyal, (1,): zero, (2,): moyal}, edges, triples)
+    assert cls.from_components(full.nerve, full.flavor, full.algebra, *full.components()) == full
+    # an absent chart local reads as the zero of degree 1 on its chart
+    sparse = cls.from_components(nerve, "associative", R, {(0,): moyal}, edges, triples)
+    loc = sparse.components()[0]
+    assert list(loc) == [(0,), (1,), (2,)]
+    assert loc[(0,)] == moyal
+    assert loc[(1,)] == loc[(2,)] == DGLAElement.zero(face_carrier(nerve, "associative", (2,)), R, 1)
+    # d[1,0] (x) d[0,1] is a Hochschild cocycle whose square is not zero at hbar^2
+    bad = {(0,): elt((0,), "hbar * d[1,0]⊗d[0,1]")}
+    if kind == "mdd":
+        with pytest.raises(MCCheckError):
+            cls.from_components(nerve, "associative", R, bad, {}, {})
+    else:  # additive logs are checked by check_add, not on construction
+        assert cls.from_components(nerve, "associative", R, bad, {}, {}).delta0 == bad

@@ -371,11 +371,14 @@ def _without_u1u2(then):
          "labels 'U0' and 'U0 ' name the same face"),
         (lambda obj: obj["nerve"]["faces"]["U0,U2"].update(denominators=["x"]),
          "element x is not invertible"),
+        # q above the total degree + 1 leaves an internal degree below -1
+        (lambda obj: obj["whitney"].append({"q": 3, "values": {}}), "whitney spec needs q >= 0 and q <= 2"),
+        (lambda obj: obj["gauge"].append({"q": 2, "values": {}}), "whitney spec needs q >= 0 and q <= 1"),
     ],
     ids=["whitney-entry-not-object", "whitney-value-not-string", "gauge-object",
          "face-not-string", "dts-not-list", "no-value", "schema-true", "q-true", "level-true",
          "dt-true", "whitney-face-absent", "component-face-absent", "whitney-face-twice",
-         "restriction-denominator"],
+         "restriction-denominator", "whitney-q-too-high", "gauge-q-too-high"],
 )
 def test_cli_int_mc_mistyped_ts_input(tmp_path, capsys, edit, message):
     obj = json.loads((DATA / "ts-pipeline.json").read_text(encoding="utf-8"))
@@ -412,6 +415,36 @@ def test_cli_mistyped_descent_section(tmp_path, capsys, kind, key, section):
     assert capsys.readouterr().err.startswith(
         f"input error: {key} must map faces to expression strings"
     )
+
+
+# An additive datum: the pinned int-mc output on ts-pipeline.json.
+ADDITIVE = PINNED / "int-mc-ts-pipeline.out"
+
+
+@pytest.mark.parametrize(
+    "argv, edit, message",
+    [
+        (["check-mdd", DATA / "octahedron-hbar.json"], lambda obj: obj.update(kind="lie"),
+         "kind must be 'mdd' or 'add'"),
+        (["check-add", ADDITIVE], lambda obj: obj.pop("kind"), "kind must be 'mdd' or 'add'"),
+        (["check-mdd", ADDITIVE], None, "check-mdd expects a multiplicative descent datum"),
+        (["obstruction", ADDITIVE], None, "obstruction expects a multiplicative descent datum"),
+        (["check-add", DATA / "octahedron-hbar.json"], None, "check-add expects an additive descent datum"),
+        (["exp-add", DATA / "octahedron-hbar.json"], None, "exp-add expects an additive descent datum"),
+        (["equiv", ADDITIVE, DATA / "octahedron-hbar.json"], None, "equiv needs two data of the same kind"),
+    ],
+    ids=["kind-unknown", "kind-missing", "check-mdd-on-add", "obstruction-on-add",
+         "check-add-on-mdd", "exp-add-on-mdd", "equiv-across-kinds"],
+)
+def test_cli_descent_datum_of_the_wrong_kind(tmp_path, capsys, argv, edit, message):
+    command, first, *rest = argv
+    if edit is not None:
+        obj = json.loads(first.read_text(encoding="utf-8"))
+        edit(obj)
+        first = tmp_path / "datum.json"
+        first.write_text(json.dumps(obj), encoding="utf-8")
+    assert main([command, str(first), *map(str, rest)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("kind", ["mdd", "add"])
