@@ -452,6 +452,17 @@ class CoverNerve:
     def level_faces(self, p: int) -> list[Face]:
         return sorted(f for f in self.faces if len(f) == p + 1)
 
+    def cofaces(self, f: Face) -> list[tuple[Face, int]]:
+        """[(g, (-1)**i)] for each present face g that is f with one index
+        inserted at position i, in level_faces order: the faces and signs of
+        the Cech coboundary out of f."""
+        return [
+            (g, (-1) ** i)
+            for g in self.level_faces(len(f))
+            for i in range(len(g))
+            if g[:i] + g[i + 1 :] == f
+        ]
+
     def max_level(self) -> int:
         return max(len(f) for f in self.faces) - 1
 
@@ -678,16 +689,14 @@ class LayerSpec:
                     )
                 self.bases[f] = alg.monomials_up_to(self.degree_bound)
         if self.degree_bound >= 0:
-            for (f, g) in itertools.permutations(self.nerve.faces, 2):
-                if not _is_codim1_inclusion(f, g):
-                    continue
-                rm = self.nerve.restriction(f, g)
-                for img in rm.var_images:
-                    if not img.is_polynomial() or img.numer.total_degree() > 1:
-                        raise NerveError(
-                            "restriction maps do not preserve the requested "
-                            "degree truncation"
-                        )
+            for f in self.nerve.faces:
+                for g, _ in self.nerve.cofaces(f):
+                    for img in self.nerve.restriction(f, g).var_images:
+                        if not img.is_polynomial() or img.numer.total_degree() > 1:
+                            raise NerveError(
+                                "restriction maps do not preserve the requested "
+                                "degree truncation"
+                            )
 
     def dim(self, face: Face) -> int:
         return len(self.bases[face])
@@ -742,12 +751,8 @@ class CechComplex:
         a system whose columns are the slots (face, basis index) of C^p and
         whose rows are those of C^{p+1}."""
         system = ExactSystem(self.slots.get(p, []))
-        for g in self.nerve.level_faces(p + 1):
-            for drop in range(len(g)):
-                f = g[:drop] + g[drop + 1 :]
-                if f not in self.nerve.faces:
-                    continue
-                sign = (-1) ** drop
+        for f in self.nerve.level_faces(p):
+            for g, sign in self.nerve.cofaces(f):
                 for i in range(self.layer.dim(f)):
                     coords = [QQ(0)] * self.layer.dim(f)
                     coords[i] = QQ(1)

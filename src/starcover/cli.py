@@ -76,12 +76,20 @@ def _check_report_dict(rep) -> dict:
     }
 
 
-def _load_datum(args, cls):
-    """The descent datum of ``args.input``, which must be of the kind ``cls``."""
-    datum = formats.load_descent(_load_json(args.input))
+def _load_datum(args, cls, option="input"):
+    """The descent datum of ``args.<option>``, which must be of the kind ``cls``."""
+    datum = formats.load_descent(_load_json(getattr(args, option)))
     if not isinstance(datum, cls):
-        raise FormatError(f"{args.command} expects {cls.phrase} descent datum")
+        name = args.command if option == "input" else f"{args.command} --{option}"
+        raise FormatError(f"{name} expects {cls.phrase} descent datum")
     return datum
+
+
+def _require_same_base(a, b) -> None:
+    """Input error unless the data live over the same nerve, flavour and
+    parameter algebra (equiv_solve raises AlgebraError for library callers)."""
+    if (a.nerve, a.flavor, a.algebra) != (b.nerve, b.flavor, b.algebra):
+        raise FormatError("data over different nerves/flavors/parameter algebras")
 
 
 def cmd_check_mdd(args) -> int:
@@ -133,6 +141,7 @@ def cmd_equiv(args) -> int:
     right = formats.load_descent(_load_json(args.right))
     if type(left) is not type(right):
         raise FormatError("equiv needs two data of the same kind")
+    _require_same_base(left, right)
     result = equiv_solve(left, right)
     if isinstance(result, TwistedTransformation):
         report = _transformation_report("equiv", "equivalent", left.nerve, result)
@@ -153,7 +162,8 @@ def cmd_obstruction(args) -> int:
     datum = _load_datum(args, MultDescentDatum)
     against = None
     if args.against:
-        against = formats.load_descent(_load_json(args.against))
+        against = _load_datum(args, MultDescentDatum, "against")
+        _require_same_base(datum, against)
     result = obstruction(datum, against)
     if isinstance(result, TwistedTransformation):
         report = _transformation_report("obstruction", "trivializable", datum.nerve, result)

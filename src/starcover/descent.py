@@ -14,7 +14,6 @@ definitional.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional
 
@@ -25,6 +24,8 @@ from .dgla import (
     MCElement,
     ad_exp,
     bch,
+    bch_dleft,
+    bch_dright,
     bch_many,
     gauge_act,
     gauge_operator,
@@ -43,7 +44,7 @@ from .cechnerve import (
     transport_payload,
 )
 from .polydiff import monomial_basis
-from .thomsullivan import TSHandle, integrate_component, level_zero_element, validate_compatibility
+from .thomsullivan import TSHandle, integrate_component, validate_compatibility
 
 
 def face_carrier(nerve: CoverNerve, flavor: str, face: Face):
@@ -210,7 +211,10 @@ def _record(violations, condition, face, defect: DGLAElement):
         )
 
 
-def _condition_defects(datum, conditions=("i", "ii", "iii", "iv")) -> dict:
+_CONDITIONS = ("i", "ii", "iii", "iv")  # the descent conditions, by the level of their faces
+
+
+def _condition_defects(datum, conditions=_CONDITIONS) -> dict:
     """{(condition, face): defect} of the descent conditions on the locals b,
     edge logs g and triple logs a of a datum of either kind; a condition
     holds at a face exactly when its defect there is zero.
@@ -302,7 +306,7 @@ def check_mdd(datum: MultDescentDatum, cert_degree: Optional[int] = None) -> Che
 # ---------------------------------------------------------------------------
 
 
-def exp_add(datum: AddDescentDatum, check: bool = True, cert_degree: Optional[int] = None) -> MultDescentDatum:
+def exp_add(datum: AddDescentDatum, cert_degree: Optional[int] = None) -> MultDescentDatum:
     """Exponentiate an additive descent datum: locals are the MC-induced
     deformations, the edge and triple logs are reused verbatim.  The output
     is validated by check_mdd (the multiplicative, operator-level route)."""
@@ -316,10 +320,9 @@ def exp_add(datum: AddDescentDatum, check: bool = True, cert_degree: Optional[in
     out = MultDescentDatum(
         datum.nerve, datum.flavor, datum.algebra, locals_, dict(datum.delta1), dict(datum.delta2)
     )
-    if check:
-        rep2 = check_mdd(out, cert_degree)
-        if not rep2.ok:
-            raise AlgebraError("exp_add output fails check_mdd: " + rep2.render())
+    rep2 = check_mdd(out, cert_degree)
+    if not rep2.ok:
+        raise AlgebraError("exp_add output fails check_mdd: " + rep2.render())
     return out
 
 
@@ -410,9 +413,9 @@ class LayerWindow:
         self.flavor = flavor
         self.coeff_degree = coeff_degree
         self.slot_bound = slot_bound
-        for g in nerve.faces:
-            for f in itertools.combinations(g, len(g) - 1):
-                if f and not all(img.is_polynomial() for img in nerve.restriction(f, g).var_images):
+        for f in nerve.faces:
+            for g, _ in nerve.cofaces(f):
+                if not all(img.is_polynomial() for img in nerve.restriction(f, g).var_images):
                     raise NerveError(
                         "coefficient layer not finite-dimensional: the restriction "
                         f"{f} -> {g} has a denominator"
@@ -507,47 +510,35 @@ def _full_defects(current, target):
 def _step_effects(datum, components, unknown_kind, face, u, match_locals):
     """Exact derivative of the transformed components (loc, edges, tri) of
     ``datum`` in the direction of a single unknown element u (an eta at a
-    chart or an eps at an edge)."""
-    from .dgla import bch_dleft, bch_dright
-
+    chart or an eps at an edge).  At each coface of its face, u enters the
+    product that _gauged writes there on the left when the coface sign is +,
+    and inverted on the right when it is -."""
     nerve, at, move = datum.nerve, datum.at, datum.move
     cur_loc, cur_edges, cur_tri = components
     effects = []
     if unknown_kind == "eta":
-        k = face
         if match_locals:
-            effects.append(("loc", k, u.bracket(cur_loc[k]) - u.d()))
-        for e in nerve.level_faces(1):
-            if k[0] not in e:
-                continue
-            gamma = at(cur_edges, e, 0)
-            ue = move(k, e, u)
-            if e[0] == k[0]:
-                effects.append(("edge", e, -bch_dright(ue, gamma)))
-            else:
-                effects.append(("edge", e, bch_dleft(ue, gamma)))
+            effects.append(("loc", face, u.bracket(cur_loc[face]) - u.d()))
+        for e, sign in nerve.cofaces(face):
+            effects.append(("edge", e, _bch_linear(sign, move(face, e, u), at(cur_edges, e, 0))))
         for tr in nerve.level_faces(2):
-            if tr[0] != k[0]:
-                continue
-            effects.append(("tri", tr, move(k, tr, u).bracket(at(cur_tri, tr, -1))))
+            if tr[0] == face[0]:
+                effects.append(("tri", tr, move(face, tr, u).bracket(at(cur_tri, tr, -1))))
     else:
-        e = face
-        beta0 = at(cur_loc, (e[0],), 1, e)
-        effects.append(("edge", e, bch_dright(twisted_d(beta0, u), at(cur_edges, e, 0))))
-        for tr in nerve.level_faces(2):
-            if not set(e) <= set(tr):
-                continue
-            b0 = at(cur_loc, (tr[0],), 1, tr)
-            alpha = at(cur_tri, tr, -1)
-            ut = move(e, tr, u)
-            if e == (tr[0], tr[1]):
-                effects.append(("tri", tr, bch_dleft(ut, alpha, beta=b0)))
-            elif e == (tr[1], tr[2]):
-                g01 = at(cur_edges, (tr[0], tr[1]), 0, tr)
-                effects.append(("tri", tr, bch_dleft(ad_exp(-g01, ut), alpha, beta=b0)))
-            else:  # e == (tr[0], tr[2])
-                effects.append(("tri", tr, -bch_dright(ut, alpha, beta=b0)))
+        beta0 = at(cur_loc, face[:1], 1, face)
+        effects.append(("edge", face, bch_dright(twisted_d(beta0, u), at(cur_edges, face, 0))))
+        for tr, sign in nerve.cofaces(face):
+            ut = move(face, tr, u)
+            if face == tr[1:]:  # eps_12 enters twisted by the edge (0,1)
+                ut = ad_exp(-at(cur_edges, tr[:2], 0, tr), ut)
+            b0 = at(cur_loc, tr[:1], 1, tr)
+            effects.append(("tri", tr, _bch_linear(sign, ut, at(cur_tri, tr, -1), b0)))
     return [(tag, f, elt) for tag, f, elt in effects if not elt.is_zero()]
+
+
+def _bch_linear(sign, v, y, beta=None):
+    """The linear part in v of BCH(v, y) for sign +, of BCH(y, -v) for -."""
+    return bch_dleft(v, y, beta) if sign > 0 else -bch_dright(v, y, beta)
 
 
 class _Unknowns:
@@ -592,6 +583,23 @@ class _Unknowns:
         return into
 
 
+def _assemble(unknowns: _Unknowns, window: LayerWindow, defects: Mapping, effects) -> ExactSystem:
+    """The linear system  sum over columns of (effects) + defects = 0  of a
+    layer solve.  ``defects`` maps (tag, face) to an element whose
+    coordinates, negated, are the right-hand side of the rows (tag, face,
+    layer, coordinate); ``effects(name, face, u)`` lists the (tag, face,
+    element) that the atom u of a column of that unknown contributes."""
+    system = ExactSystem(unknowns.columns)
+    for (tag, face), v in defects.items():
+        for row, q in window.rows(tag, face, v.parts):
+            system.add_rhs(row, -q)
+    for col in unknowns.columns:
+        for tag, f, elt in effects(col[0], col[1], unknowns.element(col)):
+            for row, q in window.rows(tag, f, elt.parts):
+                system.add(row, col, q)
+    return system
+
+
 # Newton passes in a row that do not raise the lowest defect order; the
 # order is bounded by the parameter algebra, so this also caps the passes
 _STALL_LIMIT = 6
@@ -634,18 +642,12 @@ def equiv_solve(datum, target):
                 return _obstruction_report(current, d0, d2, p0)
         window = _window(current, [v.graded_part(p0) for v in defects], 1)
         unknowns = _Unknowns(current, window, layer_idx, (("eta", 0, 0), ("eps", 1, -1)))
-        system = ExactSystem(unknowns.columns)
-        for tag, defect in (("loc", d0), ("edge", d1), ("tri", d2)):
-            for face, v in defect.items():
-                for row, q in window.rows(tag, face, v.parts):
-                    system.add_rhs(row, -q)
         components = current.components()
-        for col in unknowns.columns:
-            name, face = col[:2]
-            u = unknowns.element(col)
-            for tag, f, elt in _step_effects(current, components, name, face, u, match_locals):
-                for row, q in window.rows(tag, f, elt.parts):
-                    system.add(row, col, q)
+        system = _assemble(
+            unknowns, window,
+            {(tag, face): v for tag, d in (("loc", d0), ("edge", d1), ("tri", d2)) for face, v in d.items()},
+            lambda name, face, u: _step_effects(current, components, name, face, u, match_locals),
+        )
         # the largest consistent prefix of adic orders; the quadratic tail of
         # the step pollutes higher orders, which the next pass cleans up
         solution, failed = system.solve_prefix(lambda row: alg.basis_order(row[2]))
@@ -734,12 +736,11 @@ def int_mc(handle: TSHandle, beta: DGLAElement | MCElement) -> AddDescentDatum:
     b = beta.element if isinstance(beta, MCElement) else beta
     validate_compatibility(b)
     require_mc(b)
-    nerve, flavor, alg = handle.nerve, carrier_of_kind(handle.kind).flavor, handle.algebra
-    delta0 = _split_faces(level_zero_element(handle, b), nerve, flavor, alg, 1)
-    delta1 = _split_faces(integrate_component(handle, b, 1), nerve, flavor, alg, 0)
-    delta2 = _split_faces(integrate_component(handle, b, 2), nerve, flavor, alg, -1)
-    datum = AddDescentDatum(nerve, flavor, alg, delta0, delta1, delta2)
-    for p in range(2, alg.order + 1):
+    datum = AddDescentDatum(
+        handle.nerve, carrier_of_kind(handle.kind).flavor, handle.algebra,
+        *(_split_faces(integrate_component(handle, b, level)) for level in range(3)),
+    )
+    for p in range(2, handle.algebra.order + 1):
         rep = check_add(datum)
         if rep.ok:
             break
@@ -757,7 +758,7 @@ def int_mc(handle: TSHandle, beta: DGLAElement | MCElement) -> AddDescentDatum:
     return datum
 
 
-def _split_faces(element: DGLAElement, nerve, flavor, alg, degree) -> dict:
+def _split_faces(element: DGLAElement) -> dict:
     """Turn a Cech-level element into per-face DGLAElements."""
     out = {}
     car = element.carrier
@@ -768,60 +769,36 @@ def _split_faces(element: DGLAElement, nerve, flavor, alg, degree) -> dict:
             if v:
                 parts[bi] = v
         if parts:
-            out[face] = DGLAElement(
-                face_carrier(nerve, flavor, face), alg, degree, parts
-            )
+            out[face] = DGLAElement(car.inner(face), element.algebra, element.degree, parts)
     return out
 
 
 def _int_correct(datum: AddDescentDatum, p: int, defects: Mapping) -> AddDescentDatum:
     """Solve the order-p linear correction (c0, c1, c2) of (delta0, delta1,
     delta2) for conditions (i)-(iv), given their ``defects`` as check_add
-    computed them; inconsistency surfaces as an error naming the order."""
-    nerve, alg = datum.nerve, datum.algebra
+    computed them; inconsistency surfaces as an error naming the order.
+
+    The conditions are linear in the correction through d plus the Cech
+    coboundary: the unknown c_l at a level-l face f enters condition l at f
+    through d, with sign + at level 0 and - above, and condition l+1 at each
+    coface g of f through its restriction to g, with sign (-1)^(l+1) times
+    the coface sign."""
+    alg = datum.algebra
     window = _window(datum, defects.values(), 2)
     layer_idx = [i for i in range(len(alg.basis)) if alg.basis_order(i) == p]
     names = (("delta0", 0, 1), ("delta1", 1, 0), ("delta2", 2, -1))
     unknowns = _Unknowns(datum, window, layer_idx, names)
-    system = ExactSystem(unknowns.columns)
 
-    def equation(tag, face, terms):
-        """Rows of  sum(sign * unknown|face) + defect = 0  at order p: an
-        unknown on ``face`` itself enters through d, any other by restriction."""
-        for row, v in window.rows(tag, face, defects[(tag, face)].graded_part(p).parts):
-            system.add_rhs(row, -v)
-        car = datum.carrier(face)
-        for name, src, sign in terms:
-            _, degree, atoms = unknowns.spaces[(name, src)]
-            for ai, atom in enumerate(atoms):
-                if src == face:
-                    img = car.d(atom, degree)
-                else:
-                    img = transport_payload(nerve, car.kind, src, face, atom)
-                coords = window.coords(face, img).items() if img else ()
-                for li in layer_idx:
-                    for ck, v in coords:
-                        system.add((tag, face, li, ck), (name, src, li, ai), sign * v)
+    def effects(name, f, u):
+        level = len(f) - 1
+        out = [(_CONDITIONS[level], f, u.d() if level == 0 else -u.d())]
+        for g, sign in datum.nerve.cofaces(f):
+            moved = datum.move(f, g, u)
+            out.append((_CONDITIONS[level + 1], g, moved if sign * (-1) ** (level + 1) > 0 else -moved))
+        return out
 
-    # (i): d(c0_k) + Di = 0
-    for k in nerve.level_faces(0):
-        equation("i", k, [("delta0", k, 1)])
-    # (ii): c0|k0 - c0|k1 - d(c1_e) + Dii = 0
-    for e in nerve.level_faces(1):
-        equation("ii", e, [("delta0", (e[0],), 1), ("delta0", (e[1],), -1), ("delta1", e, -1)])
-    # (iii): -c1|02 + c1|12 + c1|01 - d(c2_t) + Diii = 0
-    for tr in nerve.level_faces(2):
-        e01, e02, e12 = (tr[0], tr[1]), (tr[0], tr[2]), (tr[1], tr[2])
-        equation("iii", tr, [("delta1", e01, 1), ("delta1", e12, 1), ("delta1", e02, -1), ("delta2", tr, -1)])
-    # (iv): -c2|013 + c2|023 + c2|012 - c2|123 + Div = 0
-    for w in nerve.level_faces(3):
-        equation("iv", w, [
-            ("delta2", (w[0], w[1], w[3]), -1),
-            ("delta2", (w[0], w[2], w[3]), 1),
-            ("delta2", (w[0], w[1], w[2]), 1),
-            ("delta2", (w[1], w[2], w[3]), -1),
-        ])
-    solution = system.solve().particular
+    layer_defects = {key: v.graded_part(p) for key, v in defects.items()}
+    solution = _assemble(unknowns, window, layer_defects, effects).solve().particular
     if solution is None:
         raise AlgebraError(
             f"int_mc linear correction system inconsistent at adic order {p} "

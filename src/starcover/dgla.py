@@ -267,13 +267,12 @@ class DGLAElement:
             {i: x for i, x in self.parts.items() if self.algebra.basis_order(i) == order},
         )
 
-    def map_payload(self, fn, carrier: Optional[Carrier] = None, degree: Optional[int] = None) -> "DGLAElement":
+    def map_payload(self, fn, carrier: Optional[Carrier] = None) -> "DGLAElement":
         """Apply a linear payload map componentwise (used for restriction
         transports and carrier changes)."""
         car = carrier if carrier is not None else self.carrier
-        deg = degree if degree is not None else self.degree
         parts = {i: fn(x) for i, x in self.parts.items()}
-        return DGLAElement(car, self.algebra, deg, parts)
+        return DGLAElement(car, self.algebra, self.degree, parts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DGLAElement):
@@ -721,7 +720,4 @@ def linfty_apply(psi: LInftyMorphism, beta: MCElement) -> MCElement:
         out = term if out is None else out + term
     if out is None:
         raise AlgebraError("empty L-infinity evaluation")
-    checked = mc_check(out)
-    if isinstance(checked, MCViolation):
-        raise MCCheckError(checked)
-    return checked
+    return require_mc(out)

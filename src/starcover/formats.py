@@ -664,21 +664,20 @@ def render_nerve(nerve: CoverNerve) -> dict:
         faces[nerve.label(f)] = render_chart(nerve.algebra(f))
     restrictions = {}
     for f in sorted(nerve.faces):
-        for g in sorted(nerve.faces):
-            if len(g) == len(f) + 1 and set(f) <= set(g):
-                rm = nerve.restriction(f, g)
-                images = {
-                    v: rm.var_images[i].render()
-                    for i, v in enumerate(rm.source.variables)
-                }
-                derivs = {}
-                car = PolyvecCarrier(rm.target)
-                for i, v in enumerate(rm.source.variables):
-                    derivs[v] = car.render(rm.deriv_images[i], 0)
-                entry = {"images": images}
-                if derivs:
-                    entry["derivations"] = derivs
-                restrictions[f"{nerve.label(f)} -> {nerve.label(g)}"] = entry
+        for g, _ in nerve.cofaces(f):
+            rm = nerve.restriction(f, g)
+            images = {
+                v: rm.var_images[i].render()
+                for i, v in enumerate(rm.source.variables)
+            }
+            derivs = {}
+            car = PolyvecCarrier(rm.target)
+            for i, v in enumerate(rm.source.variables):
+                derivs[v] = car.render(rm.deriv_images[i], 0)
+            entry = {"images": images}
+            if derivs:
+                entry["derivations"] = derivs
+            restrictions[f"{nerve.label(f)} -> {nerve.label(g)}"] = entry
     return {
         "schema": 1,
         "kind": "nerve",

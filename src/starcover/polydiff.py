@@ -40,8 +40,6 @@ from .dgla import (
     GaugeElement,
     InducedStructure,
     MCElement,
-    MCViolation,
-    MCCheckError,
     SparseCarrier,
     function_element,
     gauge_structure,
@@ -497,9 +495,7 @@ def star_from_mc(beta: DGLAElement | MCElement, cert_degree: Optional[int] = Non
     """Build the star product of an MC cochain; MC violations are rejected
     with the lowest failing adic order.  The associativity oracle re-checks
     the result on monomial triples (dual route)."""
-    mc = beta if isinstance(beta, MCElement) else mc_check(beta)
-    if isinstance(mc, MCViolation):
-        raise MCCheckError(mc)
+    mc = beta if isinstance(beta, MCElement) else require_mc(beta)
     car = mc.element.carrier
     for payload in mc.element.parts.values():
         if not car.is_normalized(payload):

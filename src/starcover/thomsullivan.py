@@ -321,7 +321,8 @@ def _whitney_form(l: int, subset: Sequence[int]) -> SimplexForm:
 
 def integrate_component(handle: TSHandle, element: DGLAElement, level: int) -> DGLAElement:
     """int_{Delta^level} of the (level, top dt-set) component: a plain Cech
-    element at that level (the square-zero integral formula)."""
+    element at that level (the square-zero integral formula).  Delta^0 is a
+    point, so at level 0 this is the (level 0, empty dt-set) component."""
     nerve = handle.nerve
     S_top = frozenset(range(1, level + 1))
     out_car = CechCarrier(nerve, handle.kind, level, tdim=0)
@@ -350,13 +351,3 @@ def _integrate_t(c: LocalizedPoly, alg: ChartAlgebra, level: int) -> LocalizedPo
     num = Poly(alg.variables, terms)
     return LocalizedPoly(alg, num, c.powers)
 
-
-def level_zero_element(handle: TSHandle, element: DGLAElement) -> DGLAElement:
-    """The (level 0, empty dt-set) component as a plain Cech element."""
-    car = CechCarrier(handle.nerve, handle.kind, 0, tdim=0)
-    parts = {}
-    for bi, payload in element.parts.items():
-        comp = payload.get((0, frozenset()))
-        if comp:
-            parts[bi] = comp
-    return DGLAElement(car, handle.algebra, element.degree, parts)

@@ -66,7 +66,7 @@ from starcover.simplex import (
     stokes_boundary_integral,
     t_vars,
 )
-from starcover.thomsullivan import integrate_component, level_zero_element
+from starcover.thomsullivan import integrate_component
 from starcover.descent import _split_faces
 
 from conftest import (
@@ -381,15 +381,9 @@ def test_criterion_6_square_zero_int():
             add = int_mc(H, beta)
             assert check_add(add).ok
             # the three integral formulas hold literally
-            assert add.delta0 == _split_faces(
-                level_zero_element(H, beta), nerve, "poisson", R1, 1
-            )
-            assert add.delta1 == _split_faces(
-                integrate_component(H, beta, 1), nerve, "poisson", R1, 0
-            )
-            assert add.delta2 == _split_faces(
-                integrate_component(H, beta, 2), nerve, "poisson", R1, -1
-            )
+            assert add.delta0 == _split_faces(integrate_component(H, beta, 0))
+            assert add.delta1 == _split_faces(integrate_component(H, beta, 1))
+            assert add.delta2 == _split_faces(integrate_component(H, beta, 2))
 
 
 def _rand_transformation(rng, nerve, R, flavor="poisson", maxdeg=1):
@@ -485,7 +479,7 @@ def test_criterion_8_really_twisted():
         assert cech_cohomology(nerve3).betti()[1:] == [0, 0]
         H = ts_normalize(nerve3, "polyvec", R)
         for n in range(20):
-            mdd = exp_add(int_mc(H, _mc_ts(rng, nerve3, R, H)), check=False)
+            mdd = exp_add(int_mc(H, _mc_ts(rng, nerve3, R, H)))
             datum_n = mdd_gauge(_rand_transformation(rng, nerve3, R), mdd)
             result = obstruction(datum_n)
             assert isinstance(result, TwistedTransformation), f"datum {n}"

@@ -174,11 +174,11 @@ def test_no_module_decides_the_flavour_by_name(names):
 
 # The functions of descent.py that take a nerve and a flavour: the public
 # constructors over a bare nerve (a multiplicative datum from its components
-# among them), ``LayerWindow`` and the ``_split_faces`` the tests call.  Everything else takes a datum and reads its components
-# through it (``DescentDatum.carrier``, ``.move``, ``.at``).
+# among them) and ``LayerWindow``.  Everything else takes a datum and reads
+# its components through it (``DescentDatum.carrier``, ``.move``, ``.at``).
 NERVE_AND_FLAVOR = {
     "face_carrier", "identity_transformation", "invert_transformation",
-    "MultDescentDatum.from_components", "_split_faces", "LayerWindow.__init__",
+    "MultDescentDatum.from_components", "LayerWindow.__init__",
 }
 
 
@@ -247,3 +247,21 @@ def structure_class_tests(classes) -> list:
 def test_no_module_tests_a_value_against_an_induced_structure_class(classes):
     found = structure_class_tests(classes)
     assert not found, f"flavour or kind decided by a class test: {found}"
+
+
+# The layer solves of descent.py build their systems in one place: the rows
+# of a defect and the columns of each unknown's effects are assembled by
+# ``_assemble``, and the solvers derive only the effects.
+def exact_system_callers() -> set:
+    """Names of the top-level functions and methods in descent.py that call
+    ``ExactSystem``."""
+    found = set()
+    for top in ast.parse((PACKAGE / "descent.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExactSystem":
+                found.add(getattr(top, "name", None))
+    return found
+
+
+def test_only_assemble_builds_a_layer_system():
+    assert exact_system_callers() == {"_assemble"}

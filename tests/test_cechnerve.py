@@ -319,6 +319,32 @@ def test_coboundary_round_trip(rng):
         assert val == db.get(g, [Fraction(0)])[0]
 
 
+@pytest.mark.parametrize("make", [octahedron_nerve, lambda: simplex_nerve(4)], ids=["octahedron", "simplex4"])
+def test_cofaces_are_the_coboundary_faces_and_signs(make):
+    nerve = make()
+    for p in range(nerve.max_level() + 1):
+        for f in nerve.level_faces(p):
+            # every present face one level up that contains f, with the sign
+            # (-1)^(number of indices of f below the one it adds)
+            expected = [
+                (g, (-1) ** sum(i < x for i in f))
+                for g in nerve.level_faces(p + 1)
+                if set(f) < set(g)
+                for x in set(g) - set(f)
+            ]
+            assert nerve.cofaces(f) == expected
+    # delta o delta = 0: the two paths from f to h of codimension 2 cancel
+    pairs = 0
+    for p in range(nerve.max_level() - 1):
+        for f in nerve.level_faces(p):
+            for h in nerve.level_faces(p + 2):
+                if set(f) < set(h):
+                    paths = [s * t for g, s in nerve.cofaces(f) for k, t in nerve.cofaces(g) if k == h]
+                    assert len(paths) == 2 and sum(paths) == 0
+                    pairs += 1
+    assert pairs
+
+
 def test_polynomial_layer_cohomology():
     # full-simplex nerve with polynomial coefficients: contractible, so only
     # H^0 survives and it has the dimension of the truncated layer

@@ -38,7 +38,7 @@ from starcover.descent import (
     datum_of_kind,
     invert_transformation,
 )
-from starcover.thomsullivan import integrate_component, level_zero_element
+from starcover.thomsullivan import integrate_component
 from starcover.descent import _split_faces
 from starcover.cechnerve import (
     CHART_CARRIERS,
@@ -318,9 +318,7 @@ def test_int_mc_square_zero_formulas(rng):
     beta = make_mc_ts(rng, nerve, R1, H1)
     add = int_mc(H1, beta)
     assert check_add(add).ok
-    d0 = _split_faces(level_zero_element(H1, beta), nerve, "poisson", R1, 1)
-    d1 = _split_faces(integrate_component(H1, beta, 1), nerve, "poisson", R1, 0)
-    d2 = _split_faces(integrate_component(H1, beta, 2), nerve, "poisson", R1, -1)
+    d0, d1, d2 = (_split_faces(integrate_component(H1, beta, level)) for level in range(3))
     assert add.delta0 == d0 and add.delta1 == d1 and add.delta2 == d2
 
 

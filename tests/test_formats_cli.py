@@ -215,6 +215,7 @@ README_SAMPLES = {
     "star-table-so3": (0, ["star-table", "so3.json"]),
     "cohomology-line-cover": (0, ["cohomology", "line-cover.json"]),
     "int-mc-ts-pipeline": (0, ["int-mc", "ts-pipeline.json"]),
+    "int-mc-ts-moyal": (0, ["int-mc", "ts-moyal.json"]),
 }
 
 
@@ -419,6 +420,9 @@ def test_cli_mistyped_descent_section(tmp_path, capsys, kind, key, section):
 
 # An additive datum: the pinned int-mc output on ts-pipeline.json.
 ADDITIVE = PINNED / "int-mc-ts-pipeline.out"
+# A multiplicative datum over another nerve than octahedron-hbar.json's: the
+# exp-add image of ADDITIVE, which the test writes under its tmp_path.
+EXPONENTIATED = Path("exp-add-ts-pipeline.json")
 
 
 @pytest.mark.parametrize(
@@ -432,11 +436,21 @@ ADDITIVE = PINNED / "int-mc-ts-pipeline.out"
         (["check-add", DATA / "octahedron-hbar.json"], None, "check-add expects an additive descent datum"),
         (["exp-add", DATA / "octahedron-hbar.json"], None, "exp-add expects an additive descent datum"),
         (["equiv", ADDITIVE, DATA / "octahedron-hbar.json"], None, "equiv needs two data of the same kind"),
+        (["obstruction", EXPONENTIATED, "--against", ADDITIVE], None,
+         "obstruction --against expects a multiplicative descent datum"),
+        (["obstruction", DATA / "octahedron-hbar.json", "--against", EXPONENTIATED], None,
+         "data over different nerves/flavors/parameter algebras"),
+        (["equiv", DATA / "octahedron-hbar.json", EXPONENTIATED], None,
+         "data over different nerves/flavors/parameter algebras"),
     ],
     ids=["kind-unknown", "kind-missing", "check-mdd-on-add", "obstruction-on-add",
-         "check-add-on-mdd", "exp-add-on-mdd", "equiv-across-kinds"],
+         "check-add-on-mdd", "exp-add-on-mdd", "equiv-across-kinds", "obstruction-against-add",
+         "obstruction-against-other-nerve", "equiv-across-nerves"],
 )
 def test_cli_descent_datum_of_the_wrong_kind(tmp_path, capsys, argv, edit, message):
+    if EXPONENTIATED in argv:
+        assert main(["exp-add", str(ADDITIVE), "--out", str(tmp_path / EXPONENTIATED)]) == 0
+        argv = [tmp_path / a if a == EXPONENTIATED else a for a in argv]
     command, first, *rest = argv
     if edit is not None:
         obj = json.loads(first.read_text(encoding="utf-8"))

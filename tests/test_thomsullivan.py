@@ -27,7 +27,6 @@ from starcover.thomsullivan import (
     TSError,
     _pullback_component,
     integrate_component,
-    level_zero_element,
 )
 
 from conftest import (
@@ -129,7 +128,7 @@ def test_constant_element_mc(setup):
     validate_compatibility(beta)
     assert isinstance(mc_check(beta), MCElement)
     # level-0 part is the constant bivector; edge and triangle integrals vanish
-    assert not level_zero_element(H, beta).is_zero()
+    assert not integrate_component(H, beta, 0).is_zero()
     assert integrate_component(H, beta, 1).is_zero()
     assert integrate_component(H, beta, 2).is_zero()
 
@@ -415,3 +414,21 @@ def test_coface_check_alone_gives_the_full_verdict(case, seed, how, on_top, dept
     # a bubble on the top level is invisible to every coface
     if how == "bubble" and level == top:
         assert accepted
+
+
+@pytest.mark.parametrize("kind", ["polyvec", "polydiff"])
+def test_level_zero_integral_is_the_level_zero_component(kind):
+    # Delta^0 is a point, so integrating over it reads the (level 0, empty
+    # dt-set) component, nonconstant coefficients and all
+    beta = compatible_element(kind, "shear3", 19)
+    nerve = beta.carrier.nerve
+    key = (0, frozenset())
+    expected = DGLAElement(
+        CechCarrier(nerve, kind, 0, 0), beta.algebra, beta.degree,
+        {bi: payload[key] for bi, payload in beta.parts.items() if key in payload},
+    )
+    assert any(
+        not c.numer.is_constant()
+        for comp in expected.parts.values() for pay in comp.values() for c in pay.values()
+    )
+    assert integrate_component(ts_normalize(nerve, kind, beta.algebra), beta, 0) == expected
