@@ -33,7 +33,6 @@ from .dgla import (
 from .polyvec import (
     PoissonStructure,
     PolyvecCarrier,
-    inner_gauge_poisson,
     poisson_from_mc,
     schouten,
 )

@@ -362,20 +362,6 @@ def add_gauge(t: TwistedTransformation, datum: AddDescentDatum) -> AddDescentDat
     return _gauged(t, datum)
 
 
-def invert_transformation(
-    t: TwistedTransformation, nerve, flavor, alg
-) -> TwistedTransformation:
-    """Inverse in the transformation groupoid: eta -> -eta and
-    eps -> exp(ad eta0)-image of -eps (twisted at the transformed base)."""
-    move = DescentDatum(nerve, flavor, alg).move
-    eta_inv = {k: -v for k, v in t.eta.items()}
-    eps_inv = {}
-    for e in nerve.level_faces(1):
-        k0 = (e[0],)
-        eps_inv[e] = ad_exp(move(k0, e, t.eta[k0]), -t.eps[e])
-    return TwistedTransformation(eta_inv, eps_inv)
-
-
 def compose_transformations(
     t2: TwistedTransformation, t1: TwistedTransformation, datum: "MultDescentDatum | AddDescentDatum"
 ) -> TwistedTransformation:

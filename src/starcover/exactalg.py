@@ -13,7 +13,10 @@ reduced row-echelon form of a system is unique once its column order is
 fixed, so the particular solution (free columns set to zero), the kernel
 basis and the rank are exactly those of the dense `solve_linear` on the same
 matrix; `solve_linear` stays as the public dense entry point and as the
-reference the tests compare against.
+reference the tests compare against.  A matrix solved against many
+right-hand sides is eliminated once (`ExactSystem.factor`), and each
+right-hand side is then reduced against the kept transform and checked
+exactly.
 """
 
 from __future__ import annotations
@@ -743,6 +746,16 @@ class ExactSystem:
         pivots, consistent = _eliminate({}, list(self._rows.values()))
         return self._solution(pivots, consistent)
 
+    def factor(self) -> ExactFactor:
+        """The matrix of this system eliminated once, for solving it against
+        many right-hand sides; the right-hand sides added here play no part.
+        Each row enters the elimination with its own row key as its
+        right-hand side, so each pivot row ends holding its row of the
+        elimination transform."""
+        rows = [[entries, _Combination({key: QQ(1)})] for key, (entries, _) in self._rows.items()]
+        pivots, _ = _eliminate({}, rows)
+        return ExactFactor(self, pivots)
+
     def solve_prefix(self, block: Callable[[Hashable], int]) -> tuple[ExactSolution, Optional[int]]:
         """Add the rows block by block in ascending ``block(row key)`` and
         stop before the first block that makes the system inconsistent.
@@ -779,6 +792,69 @@ class ExactSystem:
             len(pivots),
             [{keys[j]: vec[j] for j in sorted(vec)} for vec in kernel.values()],
         )
+
+
+class _Combination(dict):
+    """A sparse rational combination of row keys {row key: coefficient},
+    with the arithmetic that `_eliminate` does on a right-hand side."""
+
+    def __sub__(self, other: _Combination) -> _Combination:
+        out = _Combination(self)
+        for key, v in other.items():
+            x = out.get(key, QQ(0)) - v
+            if x:
+                out[key] = x
+            else:
+                del out[key]
+        return out
+
+    def __rmul__(self, f: Fraction) -> _Combination:
+        return _Combination({key: f * v for key, v in self.items()})
+
+    def __truediv__(self, f: Fraction) -> _Combination:
+        return _Combination({key: v / f for key, v in self.items()})
+
+
+class ExactFactor:
+    """An `ExactSystem`'s matrix A eliminated once.  ``solve(rhs)`` gives
+    what `ExactSystem.solve` gives on A with the right-hand side ``rhs``
+    ({row key: value}): the particular solution with free columns at zero
+    is unique for a fixed column order, so it is the elimination transform
+    applied to ``rhs``, and consistency is decided exactly by A x = rhs."""
+
+    def __init__(self, system: ExactSystem, pivots: dict):
+        self._keys = list(system._col)
+        # row key -> [(pivot column, coefficient)]: the transform by columns
+        self._transform: dict = {}
+        for c in sorted(pivots):
+            for key, v in pivots[c][1].items():
+                self._transform.setdefault(key, []).append((c, v))
+        # column -> [(row key, entry)]: the matrix by columns
+        self._columns: dict = {}
+        for key, (entries, _) in system._rows.items():
+            for j, v in entries.items():
+                if v:
+                    self._columns.setdefault(j, []).append((key, v))
+        unit = {c: [entries, QQ(0)] for c, (entries, _) in pivots.items()}
+        solution = system._solution(unit, True)
+        self.rank = solution.rank
+        self._kernel = solution.kernel
+
+    def solve(self, rhs: Mapping[Hashable, Fraction]) -> ExactSolution:
+        b = {key: _as_fraction(v) for key, v in rhs.items() if v}
+        x: dict = {}
+        for key, v in b.items():
+            for c, e in self._transform.get(key, ()):
+                x[c] = x.get(c, QQ(0)) + e * v
+        image: dict = {}
+        for c, v in x.items():
+            for key, a in self._columns[c]:
+                image[key] = image.get(key, QQ(0)) + a * v
+        consistent = {key: v for key, v in image.items() if v} == b
+        particular = None
+        if consistent:
+            particular = {self._keys[c]: x[c] for c in sorted(x) if x[c]}
+        return ExactSolution(particular, self.rank, [dict(vec) for vec in self._kernel])
 
 
 def _subtract(entries: dict, rhs: Fraction, f: Fraction, pivot: list) -> Fraction:

@@ -604,39 +604,34 @@ def solve_d_equation(
     if not rhs:
         return {}
     blocks = _coeff_blocks(car, rhs)
-    nslots = target_degree + 1
     solution: DiffPayload = {}
-    # d only splits slots and scales coefficients by integers, so
-    # d(coeff (x) cand) = coeff d(1 (x) cand): one d per candidate serves
-    # every block
-    one = car.chart.one()
-    unit_images: dict = {}  # cand -> {image slots: rational}
     for (powers, mono), block in blocks.items():
         max_total = max(sum(map(_multi_weight, slots)) for slots in block)
-        cands = list(_candidate_slots(car.nderiv, max_total, nslots))
-        coeff = LocalizedPoly(car.chart, Poly.monomial(car.chart.variables, mono), powers)
-        # columns: d(coeff (x) cand) over its image slot keys, which keep the
-        # coefficient coeff up to a rational factor; rows: those keys and the
-        # slots of the block
-        system = ExactSystem(cands)
-        for slots, q in block.items():
-            system.add_rhs(slots, q)
-        for cand in cands:
-            image = unit_images.get(cand)
-            if image is None:
-                image = unit_images[cand] = {
-                    slots2: _extract_scalar(one, c2)
-                    for slots2, c2 in car.d({cand: one}, target_degree).items()
-                }
-            for slots2, q in image.items():
-                system.add(slots2, cand, q)
-        res = system.solve()
+        res = _d_factor(car, max_total, target_degree).solve(block)
         if not res.consistent:
             return None
+        coeff = LocalizedPoly(car.chart, Poly.monomial(car.chart.variables, mono), powers)
         for cand, q in res.particular.items():
             add = coeff.scale(q)
             solution[cand] = solution[cand] + add if cand in solution else add
     return {k: v for k, v in solution.items() if not v.is_zero()}
+
+
+@lru_cache(maxsize=32)
+def _d_factor(car: PolydiffCarrier, max_total: int, target_degree: int):
+    """The factored matrix of d on the normalized degree-``target_degree``
+    slot tuples of total weight <= ``max_total``, with unit coefficient.
+    d only splits slots and scales coefficients by integers, so
+    d(coeff (x) cand) = coeff d(1 (x) cand), and this one matrix serves
+    every coefficient block of that weight: its columns are the candidates,
+    its rows the image slot keys."""
+    cands = list(_candidate_slots(car.nderiv, max_total, target_degree + 1))
+    one = car.chart.one()
+    system = ExactSystem(cands)
+    for cand in cands:
+        for slots, c in car.d({cand: one}, target_degree).items():
+            system.add(slots, cand, _extract_scalar(one, c))
+    return system.factor()
 
 
 def _extract_scalar(base: LocalizedPoly, value: LocalizedPoly) -> Fraction:

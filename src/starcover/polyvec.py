@@ -27,7 +27,6 @@ from .dgla import (
     InducedStructure,
     MCElement,
     SparseCarrier,
-    exp_series,
     require_mc,
 )
 from .simplex import inversion_sign
@@ -195,16 +194,3 @@ class PoissonStructure(InducedStructure):
 def poisson_from_mc(beta: DGLAElement | MCElement) -> PoissonStructure:
     mc = beta if isinstance(beta, MCElement) else require_mc(beta)
     return PoissonStructure(mc)
-
-
-def inner_gauge_poisson(
-    a: DGLAElement, structure: PoissonStructure, elements: Sequence[DGLAElement]
-) -> list[DGLAElement]:
-    """Formal hamiltonian flow exp(ad_A(a)) with ad_A(a)(b) = {a, b}_beta,
-    evaluated on the requested R (x) C elements."""
-    if a.degree != -1:
-        raise AlgebraError("hamiltonian logarithms have degree -1")
-    if a.adic_order() < 1:
-        raise AlgebraError("hamiltonian logarithms have adic order >= 1")
-    flow = lambda u: structure.bracket(a, u)
-    return [exp_series(flow, u) for u in elements]

@@ -26,13 +26,11 @@ TEST_ONLY = {
     # cechnerve
     "pull_sections", "identity_refinement",
     # descent
-    "minimal_conditions", "invert_transformation",
+    "minimal_conditions",
     # dgla
     "symmetry_defect", "linfty_apply",
     # params
     "base_change",
-    # polyvec
-    "inner_gauge_poisson",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
@@ -177,7 +175,7 @@ def test_no_module_decides_the_flavour_by_name(names):
 # among them) and ``LayerWindow``.  Everything else takes a datum and reads
 # its components through it (``DescentDatum.carrier``, ``.move``, ``.at``).
 NERVE_AND_FLAVOR = {
-    "face_carrier", "identity_transformation", "invert_transformation",
+    "face_carrier", "identity_transformation",
     "MultDescentDatum.from_components", "LayerWindow.__init__",
 }
 
@@ -249,14 +247,16 @@ def test_no_module_tests_a_value_against_an_induced_structure_class(classes):
     assert not found, f"flavour or kind decided by a class test: {found}"
 
 
-# The layer solves of descent.py build their systems in one place: the rows
-# of a defect and the columns of each unknown's effects are assembled by
-# ``_assemble``, and the solvers derive only the effects.
-def exact_system_callers() -> set:
-    """Names of the top-level functions and methods in descent.py that call
+# Each module builds its linear systems in one place.  The layer solves of
+# descent.py assemble theirs in ``_assemble`` (the rows of a defect and the
+# columns of each unknown's effects), and the solvers derive only the
+# effects; polydiff.py eliminates each matrix of d once, in the memoized
+# ``_d_factor``, and every coefficient block reduces against that factor.
+def exact_system_callers(module: str) -> set:
+    """Names of the top-level functions and methods in ``module`` that call
     ``ExactSystem``."""
     found = set()
-    for top in ast.parse((PACKAGE / "descent.py").read_text(encoding="utf-8")).body:
+    for top in ast.parse((PACKAGE / module).read_text(encoding="utf-8")).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExactSystem":
                 found.add(getattr(top, "name", None))
@@ -264,4 +264,19 @@ def exact_system_callers() -> set:
 
 
 def test_only_assemble_builds_a_layer_system():
-    assert exact_system_callers() == {"_assemble"}
+    assert exact_system_callers("descent.py") == {"_assemble"}
+
+
+def test_only_the_memoized_factor_builds_a_d_system():
+    assert exact_system_callers("polydiff.py") == {"_d_factor"}
+
+
+def test_only_exactalg_names_the_elimination():
+    found = set()
+    paths = sorted(PACKAGE.glob("*.py"))
+    paths += sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    for path in paths:
+        names = {name for name, _ in _references(ast.parse(path.read_text(encoding="utf-8")), strings=True)}
+        if "_eliminate" in names:
+            found.add(path.name)
+    assert found == {"exactalg.py"}

