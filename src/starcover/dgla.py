@@ -249,6 +249,8 @@ class DGLAElement:
         self._check(other, same_degree=False)
         car = self.carrier
         dx, dy = self.degree, other.degree
+        if not self.parts or not other.parts:
+            return DGLAElement(car, self.algebra, dx + dy, {})
         parts = self.algebra.extend(
             lambda x, y: car.bracket(x, y, dx, dy), car.add, self.parts, other.parts
         )

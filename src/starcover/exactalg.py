@@ -2,9 +2,12 @@
 localized fractions against a declared denominator set, and exact linear
 solving.
 
-Coefficients are `fractions.Fraction` throughout; nothing here is ever
-floating point.  Polynomial values are immutable after construction and
-their operations are pure functions.
+A `Poly` coefficient is an `int` when it is integral and a
+`fractions.Fraction` with denominator > 1 otherwise (`_coeff` makes this
+form), so integral arithmetic runs on Python ints; equal values of the two
+types compare and hash equal.  The linear solvers work in `Fraction`.
+Nothing here is ever floating point.  Polynomial values are immutable after
+construction and their operations are pure functions.
 
 Every linear system the library solves is an `ExactSystem`: a sparse
 system whose rows and columns are labelled by hashable keys, eliminated by
@@ -44,8 +47,16 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
-def _integral(terms: Mapping[Exponent, Fraction]) -> bool:
-    return all(c.denominator == 1 for c in terms.values())
+def _coeff(c) -> int | Fraction:
+    """The canonical form of a coefficient: an int when it is integral, else
+    a Fraction with denominator > 1."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
 def grlex_key(e: Exponent) -> tuple:
@@ -54,7 +65,7 @@ def grlex_key(e: Exponent) -> tuple:
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial over Q, coefficients in `_coeff` form.
 
     ``variables`` is the ordered tuple of symbol names; ``terms`` maps
     exponent tuples (length = number of variables) to nonzero coefficients.
@@ -64,16 +75,17 @@ class Poly:
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Fraction]):
         variables = tuple(variables)
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, int | Fraction] = {}
         n = len(variables)
         for e, c in terms.items():
-            c = _as_fraction(c)
+            c = _coeff(c)
             if c == 0:
                 continue
             e = tuple(int(x) for x in e)
             if len(e) != n or any(x < 0 for x in e):
                 raise AlgebraError(f"bad exponent {e} for {n} variables")
-            clean[e] = clean.get(e, QQ(0)) + c
+            v = clean.get(e)
+            clean[e] = c if v is None else _coeff(v + c)
         self.variables = variables
         self.terms = {e: c for e, c in clean.items() if c != 0}
         self._hash: Optional[int] = None
@@ -96,7 +108,7 @@ class Poly:
 
     @staticmethod
     def const(variables: Sequence[str], c) -> "Poly":
-        c = _as_fraction(c)
+        c = _coeff(c)
         if c == 0:
             return Poly.zero(variables)
         return Poly(variables, {(0,) * len(variables): c})
@@ -107,11 +119,11 @@ class Poly:
         i = variables.index(name)
         e = [0] * len(variables)
         e[i] = 1
-        return Poly(variables, {tuple(e): QQ(1)})
+        return Poly(variables, {tuple(e): 1})
 
     @staticmethod
-    def monomial(variables: Sequence[str], e: Exponent, c=QQ(1)) -> "Poly":
-        return Poly(variables, {tuple(e): _as_fraction(c)})
+    def monomial(variables: Sequence[str], e: Exponent, c=1) -> "Poly":
+        return Poly(variables, {tuple(e): c})
 
     # -- structure -------------------------------------------------------
 
@@ -121,9 +133,9 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.terms:
-            return QQ(0)
+            return 0
         if not self.is_constant():
             raise AlgebraError("not a constant polynomial")
         return next(iter(self.terms.values()))
@@ -150,10 +162,7 @@ class Poly:
             if v is None:
                 terms[e] = c
                 continue
-            if v.denominator == 1 == c.denominator:
-                v = Fraction(v.numerator + c.numerator)
-            else:
-                v = v + c
+            v = _coeff(v + c)
             if v:
                 terms[e] = v
             else:
@@ -174,38 +183,29 @@ class Poly:
             many, one = (self, other) if len(other.terms) == 1 else (other, self)
             (e2, c2), = one.terms.items()
             if not any(e2):
-                return Poly._raw(self.variables, {e: c * c2 for e, c in many.terms.items()})
+                return Poly._raw(self.variables, {e: _coeff(c * c2) for e, c in many.terms.items()})
             return Poly._raw(
-                self.variables, {tuple(map(add, e, e2)): c * c2 for e, c in many.terms.items()}
+                self.variables, {tuple(map(add, e, e2)): _coeff(c * c2) for e, c in many.terms.items()}
             )
-        if _integral(self.terms) and _integral(other.terms):
-            # every denominator is 1: accumulate the numerators as ints and
-            # make one Fraction per surviving term
-            right = [(e2, c2.numerator) for e2, c2 in other.terms.items()]
-            ints: dict[Exponent, int] = {}
-            for e1, c1 in self.terms.items():
-                n1 = c1.numerator
-                for e2, n2 in right:
-                    e = tuple(map(add, e1, e2))
-                    ints[e] = ints.get(e, 0) + n1 * n2
-            return Poly._raw(self.variables, {e: Fraction(n) for e, n in ints.items() if n})
-        terms: dict[Exponent, Fraction] = {}
+        # int products and sums stay ints; a Fraction sum is made canonical once
+        terms: dict[Exponent, int | Fraction] = {}
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
                 v = terms.get(e)
                 terms[e] = c1 * c2 if v is None else v + c1 * c2
-        return Poly._raw(self.variables, {e: c for e, c in terms.items() if c != 0})
+        return Poly._raw(self.variables, {e: _coeff(c) for e, c in terms.items() if c})
 
     def scale(self, c) -> "Poly":
-        c = _as_fraction(c)
+        c = _coeff(c)
         if c == 1:
             return self
         if c == -1:
             return -self
         if c == 0:
             return Poly._raw(self.variables, {})
-        return Poly._raw(self.variables, {e: c * v for e, v in self.terms.items()})
+        return Poly._raw(self.variables, {e: _coeff(c * v) for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -220,7 +220,7 @@ class Poly:
         return result
 
     def derivative(self, var_index: int) -> "Poly":
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, int | Fraction] = {}
         for e, c in self.terms.items():
             k = e[var_index]
             if k == 0:
@@ -228,9 +228,9 @@ class Poly:
             e2 = e[:var_index] + (k - 1,) + e[var_index + 1 :]
             v = terms.get(e2)
             terms[e2] = c * k if v is None else v + c * k
-        return Poly._raw(self.variables, terms)
+        return Poly._raw(self.variables, {e: _coeff(c) for e, c in terms.items()})
 
-    def leading(self) -> tuple[Exponent, Fraction]:
+    def leading(self) -> tuple[Exponent, int | Fraction]:
         e = max(self.terms, key=grlex_key)
         return e, self.terms[e]
 
@@ -246,14 +246,14 @@ class Poly:
             return Poly.zero(self.variables)
         de, dc = divisor.leading()
         rem = self
-        qterms: dict[Exponent, Fraction] = {}
+        qterms: dict[Exponent, int | Fraction] = {}
         while not rem.is_zero():
             re, rc = rem.leading()
             qe = tuple(a - b for a, b in zip(re, de))
             if any(x < 0 for x in qe):
                 return None
-            qc = rc / dc
-            qterms[qe] = qterms.get(qe, QQ(0)) + qc
+            qc = Fraction(rc) / dc
+            qterms[qe] = qterms.get(qe, 0) + qc
             rem = rem - divisor * Poly.monomial(self.variables, qe, qc)
         return Poly(self.variables, qterms)
 
@@ -297,7 +297,7 @@ class Poly:
             self._hash = hash((self.variables, frozenset(self.terms.items())))
         return self._hash
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def render(self) -> str:
@@ -478,7 +478,7 @@ class LocalizedPoly:
         return LocalizedPoly(self.chart, self.numer * other.numer, powers)
 
     def scale(self, c) -> "LocalizedPoly":
-        c = _as_fraction(c)
+        c = _coeff(c)
         if c == 0:
             return self.chart.zero()
         return LocalizedPoly._raw(self.chart, self.numer.scale(c), self.powers)
@@ -516,7 +516,7 @@ class LocalizedPoly:
             )
         c = num.constant_value()
         # self = c * prod d^den_exp / prod d^powers; inverse flips both
-        numer = Poly.const(self.chart.variables, 1 / c)
+        numer = Poly.const(self.chart.variables, 1 / Fraction(c))
         for i, d in enumerate(self.chart.denominators):
             numer = numer * d ** self.powers[i]
         return LocalizedPoly(self.chart, numer, tuple(den_exp))

@@ -33,6 +33,7 @@ from .exactalg import (
     LocalizedPoly,
     Poly,
     QQ,
+    _coeff,
     _compositions,
 )
 from .dgla import (
@@ -154,7 +155,7 @@ class PolydiffCarrier(SparseCarrier):
                 key = tuple(e2)
                 v = terms.get(key)
                 terms[key] = coeff if v is None else v + coeff
-            num = Poly._raw(c.numer.variables, {e: q for e, q in terms.items() if q != 0})
+            num = Poly._raw(c.numer.variables, {e: _coeff(q) for e, q in terms.items() if q != 0})
             return LocalizedPoly._raw(c.chart, num, c.powers)
         out = c
         for pos, k in enumerate(alpha):
@@ -640,7 +641,7 @@ def _extract_scalar(base: LocalizedPoly, value: LocalizedPoly) -> Fraction:
         return QQ(0)
     _, bc = base.numer.leading()
     _, vc = value.numer.leading()
-    q = vc / bc
+    q = Fraction(vc) / bc
     if base.scale(q) != value:
         raise AlgebraError("coefficient block mixing: solver precondition broken")
     return q

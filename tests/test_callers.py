@@ -280,3 +280,32 @@ def test_only_exactalg_names_the_elimination():
         if "_eliminate" in names:
             found.add(path.name)
     assert found == {"exactalg.py"}
+
+
+# `int / int` is a float, and a Poly coefficient may be an int, so every true
+# division in the package is listed here: each divides a Fraction (the Poly
+# side wraps its operand in one) or divides inside the Fraction solvers.
+DIVIDERS = {
+    "bernoulli_ratios", "Poly.divide_exact", "LocalizedPoly.invert", "solve_linear",
+    "_Combination.__truediv__", "_eliminate", "_extract_scalar",
+}
+
+
+def true_divisions() -> set:
+    """The top-level functions and methods of the package (``Class.method``)
+    that contain a ``/`` or ``/=``."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            scopes = [(getattr(top, "name", "<module>"), top)]
+            if isinstance(top, ast.ClassDef):
+                scopes = [(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
+            for name, scope in scopes:
+                for node in ast.walk(scope):
+                    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                        found.add(name)
+    return found
+
+
+def test_only_the_listed_functions_divide():
+    assert true_divisions() == DIVIDERS

@@ -122,6 +122,30 @@ def test_commutator_on_vector_fields():
     assert dx.bracket(xdx) == dx
 
 
+def test_bracket_with_an_empty_operand_is_zero():
+    R = param_algebra_truncate(["hbar"], 2)
+    car = PolydiffCarrier(C2)
+    x = DGLAElement.single(car, R, 1, 1, car.term(((1, 0), (0, 1)), C2.var("x")))
+    pairs = [
+        (x, DGLAElement.zero(car, R, 0)),
+        (DGLAElement.zero(car, R, 2), x),
+        (DGLAElement.zero(car, R, 1), DGLAElement.zero(car, R, -1)),
+    ]
+    for a, b in pairs:
+        z = a.bracket(b)
+        assert z.is_zero() and z.degree == a.degree + b.degree
+        assert z.carrier == car and z.algebra == R
+    # the degree bound and the operand checks hold for empty operands too
+    f = function_element(car, R, C2.var("y"), 1)
+    for a, b in ((f, DGLAElement.zero(car, R, -1)), (DGLAElement.zero(car, R, -1), f)):
+        with pytest.raises(AlgebraError, match="below quantum-type bound"):
+            a.bracket(b)
+    with pytest.raises(AlgebraError, match="different carriers"):
+        x.bracket(DGLAElement.zero(PolyvecCarrier(C2), R, 0))
+    with pytest.raises(AlgebraError, match="different parameter algebras"):
+        DGLAElement.zero(car, R, 0).bracket(DGLAElement.zero(car, param_algebra_truncate(["hbar"], 3), 0))
+
+
 def test_mc_examples():
     R = param_algebra_truncate(["hbar"], 3)
     car = PolyvecCarrier(C2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from starcover import AlgebraError, ChartAlgebra, LocalizedPoly, Poly, solve_linear
+from starcover import AlgebraError, ChartAlgebra, LocalizedPoly, Poly, PolydiffCarrier, solve_linear
 from starcover.exactalg import ExactSystem
 
 from conftest import rand_poly
@@ -102,29 +102,41 @@ def test_ring_axioms_hypothesis(a, b, c):
     assert p * q == q * p
 
 
+# The kernel's operations done in Fraction arithmetic throughout: the oracle
+# of the values and the term order of the int/Fraction kernel.
 def reference_mul(p, q):
-    """The generic Fraction loop of Poly.__mul__, kept as the oracle of its
-    integer fast path: terms in the order the loop first meets them."""
+    """Terms in the order the product loop first meets them."""
     terms = {}
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             v = terms.get(e)
-            terms[e] = c1 * c2 if v is None else v + c1 * c2
+            terms[e] = Fraction(c1) * c2 if v is None else v + Fraction(c1) * c2
     return [(e, c) for e, c in terms.items() if c != 0]
 
 
 def reference_add(p, q):
-    terms = dict(p.terms)
+    terms = {e: Fraction(c) for e, c in p.terms.items()}
     for e, c in q.terms.items():
         v = terms.get(e)
         if v is None:
-            terms[e] = c
+            terms[e] = Fraction(c)
         elif v + c == 0:
             del terms[e]
         else:
             terms[e] = v + c
     return list(terms.items())
+
+
+def reference_derivative(p, i):
+    return [(e[:i] + (e[i] - 1,) + e[i + 1 :], Fraction(c) * e[i]) for e, c in p.terms.items() if e[i]]
+
+
+def assert_canonical(p):
+    """An int exactly when the coefficient is integral, else a Fraction with
+    denominator > 1."""
+    for c in p.terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
 
 
 @st.composite
@@ -150,9 +162,52 @@ def polys(draw):
 @settings(max_examples=300, deadline=None)
 @given(polys(), polys())
 def test_kernel_fast_paths_match_the_fraction_loop(p, q):
-    for got, want in ((p * q, reference_mul(p, q)), (p + q, reference_add(p, q))):
+    checks = [(p * q, reference_mul(p, q)), (p + q, reference_add(p, q)), (p, list(p.terms.items()))]
+    checks.append((-p, [(e, -Fraction(c)) for e, c in p.terms.items()]))
+    for s in (2, Fraction(1, 2), Fraction(-2, 3), Fraction(6, 3)):
+        checks.append((p.scale(s), [(e, s * Fraction(c)) for e, c in p.terms.items()]))
+    checks += [(p.derivative(i), reference_derivative(p, i)) for i in (0, 1)]
+    car = PolydiffCarrier(ChartAlgebra(XY))
+    for alpha in ((1, 0), (0, 2), (2, 1)):
+        want = p
+        for i, k in enumerate(alpha):
+            for _ in range(k):
+                want = Poly(XY, dict(reference_derivative(want, i)))
+        got = car.deriv(LocalizedPoly(car.chart, p), alpha)
+        checks.append((got.numer, list(want.terms.items())))
+    if not q.is_zero():
+        # the quotient's terms come out leading term first
+        checks.append(((p * q).divide_exact(q), p.sorted_terms()))
+    for got, want in checks:
         assert list(got.terms.items()) == want
-        assert all(type(c) is Fraction for c in got.terms.values())
+        assert_canonical(got)
+
+
+def test_constructor_input_is_made_canonical():
+    p = Poly(XY, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): True, (1, 1): 0, (2, 0): Fraction(0)})
+    assert list(p.terms.items()) == [((1, 0), 2), ((0, 1), Fraction(1, 2)), ((0, 0), 1)]
+    assert_canonical(p)
+    assert type(Poly.const(XY, Fraction(6, 3)).constant_value()) is int
+    assert_canonical(Poly.monomial(XY, (1, 1), Fraction(-3, 1)))
+    assert_canonical(LocalizedPoly.const(ChartAlgebra(XY), Fraction(4, 2)).scale(Fraction(3, 2)).numer)
+    for bad in (lambda: Poly(XY, {(1, 0): 1.0}), lambda: Poly.const(XY, 0.5), lambda: Poly.monomial(XY, (1, 0), 2.0)):
+        with pytest.raises(TypeError):
+            bad()
+    # equal values of either type compare and hash equal
+    as_fraction = Poly._raw(XY, {e: Fraction(c) for e, c in p.terms.items()})
+    assert as_fraction == p and hash(as_fraction) == hash(p)
+
+
+def test_divisions_of_integral_coefficients_are_exact():
+    x = Poly.var(XY, "x")
+    quotient = x.scale(2).divide_exact(x.scale(3))
+    assert quotient == Poly.const(XY, Fraction(2, 3))
+    assert type(quotient.constant_value()) is Fraction
+    assert x.scale(4).divide_exact(x.scale(2)) == Poly.const(XY, 2)
+    C = ChartAlgebra(XY)
+    inverse = LocalizedPoly.const(C, 3).invert()
+    assert inverse == LocalizedPoly.const(C, Fraction(1, 3))
+    assert inverse.numer.constant_value() == Fraction(1, 3)
 
 
 @settings(max_examples=100, deadline=None)

@@ -505,6 +505,16 @@ def d_solve_per_block(car, rhs, target_degree):
     return {k: v for k, v in solution.items() if not v.is_zero()}
 
 
+def test_extract_scalar_divides_integral_coefficients_exactly():
+    base = LocalizedPoly(C2, Poly(("x", "y"), {(1, 0): 3, (0, 1): 6}))
+    for q in (Fraction(2, 3), Fraction(2), Fraction(-1, 6)):
+        got = _extract_scalar(base, base.scale(q))
+        assert got == q and type(got) is Fraction
+    assert _extract_scalar(base, C2.zero()) == 0
+    with pytest.raises(AlgebraError, match="mixing"):
+        _extract_scalar(base, base + C2.one())
+
+
 @pytest.mark.parametrize("target_degree", [0, 1, 2])
 @pytest.mark.parametrize(
     "car",
